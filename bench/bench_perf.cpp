@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
 #include <string>
 
@@ -238,6 +239,55 @@ void BM_MonteCarloRunInstrumented(benchmark::State& state) {
 }
 BENCHMARK(BM_MonteCarloRunInstrumented)
     ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// The production path a `fav evaluate --journal` campaign takes: importance
+// sampling, a stop flag set (never flipped), a fresh journal per iteration
+// (256-sample shards, one fsync each) and Arg threads. Unlike
+// BM_MonteCarloRunThreads, which takes the no-stop in-memory path, this row
+// sees how the journal and the stop flag shape scheduling; lanes_per_group
+// is the mean te-group occupancy (64 = full words).
+void BM_MonteCarloRunJournaled(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  static core::FaultAttackEvaluator fw(soc::make_illegal_write_benchmark());
+  static const faultsim::AttackModel attack = fw.subblock_attack_model(1.5, 50);
+  static auto sampler = fw.make_importance_sampler(attack);
+  const fs::path dir = fs::temp_directory_path() /
+                       ("fav_bench_journaled_" + std::to_string(::getpid()));
+  MetricsSink metrics;
+  const std::atomic<bool> stop{false};
+  mc::EvaluatorConfig cfg;
+  cfg.threads = static_cast<std::size_t>(state.range(0));
+  cfg.keep_records = false;
+  cfg.metrics = &metrics;
+  cfg.stop = &stop;
+  const mc::SsfEvaluator engine(fw.soc(), fw.placement(), fw.injector(),
+                                fw.benchmark(), fw.golden(),
+                                &fw.characterization(), cfg);
+  mc::JournalOptions jopt;
+  jopt.dir = dir.string();
+  jopt.fingerprint = 0xBE7C4;
+  constexpr std::size_t kSamples = 20000;
+  for (auto _ : state) {
+    Rng rng(42);
+    Result<mc::SsfResult> res =
+        engine.run_journaled(*sampler, rng, kSamples, jopt);
+    if (!res.is_ok()) {
+      state.SkipWithError(res.status().to_string().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(res.value().ssf());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kSamples));
+  const double* occupancy = metrics.gauge("eval.lane_occupancy");
+  state.counters["lanes_per_group"] = occupancy != nullptr ? *occupancy : 0.0;
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+BENCHMARK(BM_MonteCarloRunJournaled)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();

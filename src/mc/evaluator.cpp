@@ -32,6 +32,14 @@ std::string path_timer_name(OutcomePath path) {
 
 }  // namespace
 
+void update_lane_occupancy(MetricsSink& metrics) {
+  const std::uint64_t groups = metrics.counter("eval.batch_groups");
+  if (groups == 0) return;
+  metrics.set_gauge("eval.lane_occupancy",
+                    static_cast<double>(metrics.counter("eval.batch_lanes")) /
+                        static_cast<double>(groups));
+}
+
 EvalBudget::EvalBudget(std::uint64_t cycle_budget, std::uint64_t deadline_ms)
     : cycles_left_(cycle_budget),
       limit_cycles_(cycle_budget > 0),
@@ -432,6 +440,7 @@ void SsfEvaluator::merge_observers(WorkerObservers&& observers) const {
     for (const MetricsSink& sink : observers.sinks) {
       config_.metrics->merge(sink);
     }
+    update_lane_occupancy(*config_.metrics);
   }
   if (config_.trace != nullptr) {
     for (TraceBuffer& buf : observers.traces) {
@@ -440,125 +449,112 @@ void SsfEvaluator::merge_observers(WorkerObservers&& observers) const {
   }
 }
 
-void SsfEvaluator::evaluate_range(
-    const std::vector<faultsim::FaultSample>& samples,
-    std::vector<SampleRecord>& records, std::size_t lo, std::size_t hi,
-    std::vector<std::unique_ptr<EvalScratch>>& scratch,
-    WorkerObservers* observers) const {
-  // Evaluate each sample into its own slot; workers reuse per-thread scratch
-  // machines. Block scheduling is dynamic (sample cost varies by outcome
-  // path), which is safe because slot writes, not schedule order, carry the
-  // results. Instrumentation writes only into the worker's own sink/trace
-  // slot (merged later), so observing a run cannot perturb it.
-  const bool timing = observers != nullptr && (!observers->sinks.empty() ||
-                                               !observers->traces.empty());
-  auto eval_one = [&](std::size_t worker, std::size_t i) {
-    MetricsSink* sink =
-        observers != nullptr && !observers->sinks.empty()
-            ? &observers->sinks[worker]
-            : nullptr;
-    const std::uint64_t t0 = timing ? monotonic_ns() : 0;
-    records[i] = evaluate_sample_isolated(samples[i], scratch[worker], sink);
-    if (timing) {
-      const std::uint64_t dur = monotonic_ns() - t0;
-      if (sink != nullptr) {
-        sink->add_timer_ns(path_timer_name(records[i].path), dur);
-      }
-      if (!observers->traces.empty()) {
-        observers->traces[worker].record(
-            outcome_path_name(records[i].path), "sample", t0, dur,
-            static_cast<std::uint32_t>(worker), i);
-      }
+void SsfEvaluator::complete_sample(const SampleRecord& rec, std::size_t index,
+                                   std::uint32_t worker, std::uint64_t t0,
+                                   MetricsSink* sink,
+                                   TraceBuffer* trace_buf) const {
+  if (sink != nullptr || trace_buf != nullptr) {
+    const std::uint64_t dur = monotonic_ns() - t0;
+    if (sink != nullptr) sink->add_timer_ns(path_timer_name(rec.path), dur);
+    if (trace_buf != nullptr) {
+      trace_buf->record(outcome_path_name(rec.path), "sample", t0, dur, worker,
+                        index);
     }
-    if (config_.progress != nullptr) {
-      const bool failed = records[i].path == OutcomePath::kFailed;
-      config_.progress->record(failed ? 0.0 : records[i].contribution,
-                               records[i].sample.weight, failed);
-    }
-    if (config_.on_sample) config_.on_sample(records[i], i);
-  };
+  }
+  if (config_.progress != nullptr) {
+    const bool failed = rec.path == OutcomePath::kFailed;
+    config_.progress->record(failed ? 0.0 : rec.contribution,
+                             rec.sample.weight, failed);
+  }
+  if (config_.on_sample) config_.on_sample(rec, index);
+}
 
+std::size_t SsfEvaluator::evaluate_wave(
+    const faultsim::FaultSample* samples, SampleRecord* records, std::size_t n,
+    std::size_t base, std::vector<std::unique_ptr<EvalScratch>>& scratch,
+    WorkerObservers& observers) const {
   // Word-parallel batching: group samples that share an injection cycle te
   // so one restore + settle + bit-parallel sweep serves the whole group.
   // Eligibility mirrors the scalar flow exactly — a sample whose parameters
   // fail check_sample, that lands before the program starts, or that needs
   // multi-cycle impact keeps its scalar evaluation (a singleton unit).
-  // Grouping is computed sequentially from the sample order, so the unit
-  // list — and with it every record — is identical at every thread count.
+  // Grouping is computed sequentially over the whole wave, so the unit list
+  // — and with it every record — is identical at every thread count. Units
+  // are numbered in order of their first (smallest) index.
   const std::size_t lane_cap = std::min<std::size_t>(config_.batch_lanes, 64);
-  if (lane_cap >= 2 && technique_->supports_batch() && hi - lo >= 2) {
-    std::vector<std::vector<std::size_t>> units;
-    std::unordered_map<std::uint64_t, std::size_t> open;  // te -> open unit
-    for (std::size_t i = lo; i < hi; ++i) {
-      const faultsim::FaultSample& s = samples[i];
-      bool eligible = s.impact_cycles == 1;
-      if (eligible) {
-        try {
-          technique_->check_sample(s);
-        } catch (const std::exception&) {
-          eligible = false;  // the scalar path records the failure
-        }
-      }
-      if (eligible && static_cast<std::uint64_t>(s.t) > target_cycle_) {
-        eligible = false;  // early-masked: nothing to strike, stays scalar
-      }
-      if (!eligible) {
-        units.push_back({i});
-        continue;
-      }
-      const std::uint64_t te =
-          target_cycle_ - static_cast<std::uint64_t>(s.t);
-      const auto it = open.find(te);
-      if (it != open.end() && units[it->second].size() < lane_cap) {
-        units[it->second].push_back(i);
-      } else {
-        open[te] = units.size();  // full units are sealed and replaced
-        units.push_back({i});
+  const bool batching = lane_cap >= 2 && technique_->supports_batch();
+  std::vector<std::vector<std::size_t>> units;
+  std::unordered_map<std::uint64_t, std::size_t> open;  // te -> open unit
+  for (std::size_t i = 0; i < n; ++i) {
+    const faultsim::FaultSample& s = samples[i];
+    bool eligible = batching && s.impact_cycles == 1;
+    if (eligible) {
+      try {
+        technique_->check_sample(s);
+      } catch (const std::exception&) {
+        eligible = false;  // the scalar path records the failure
       }
     }
-    auto eval_unit = [&](std::size_t worker, std::size_t u) {
-      const std::vector<std::size_t>& unit = units[u];
-      if (unit.size() == 1) {
-        eval_one(worker, unit[0]);
-        return;
-      }
-      MetricsSink* sink =
-          observers != nullptr && !observers->sinks.empty()
-              ? &observers->sinks[worker]
-              : nullptr;
-      TraceBuffer* trace_buf =
-          observers != nullptr && !observers->traces.empty()
-              ? &observers->traces[worker]
-              : nullptr;
-      evaluate_group(samples, records, unit, scratch[worker], sink, trace_buf,
-                     static_cast<std::uint32_t>(worker), eval_one);
-    };
-    if (scratch.size() <= 1) {
-      for (std::size_t u = 0; u < units.size(); ++u) eval_unit(0, u);
-      return;
+    if (eligible && static_cast<std::uint64_t>(s.t) > target_cycle_) {
+      eligible = false;  // early-masked: nothing to strike, stays scalar
     }
-    parallel_for(units.size(), scratch.size(), /*grain=*/1,
-                 [&](std::size_t worker, std::size_t b, std::size_t e) {
-                   for (std::size_t u = b; u < e; ++u) eval_unit(worker, u);
-                 });
-    return;
+    if (!eligible) {
+      units.push_back({i});
+      continue;
+    }
+    const std::uint64_t te = target_cycle_ - static_cast<std::uint64_t>(s.t);
+    const auto it = open.find(te);
+    if (it != open.end() && units[it->second].size() < lane_cap) {
+      units[it->second].push_back(i);
+    } else {
+      open[te] = units.size();  // full units are sealed and replaced
+      units.push_back({i});
+    }
   }
 
-  if (scratch.size() <= 1) {
-    for (std::size_t i = lo; i < hi; ++i) eval_one(0, i);
-    return;
+  // Workers pull units dynamically (sample cost varies by outcome path) and
+  // write each record into its own slot with per-thread scratch, so the
+  // schedule never reaches the results. Instrumentation writes only the
+  // worker's own sink/trace slot (merged later), so observing a run cannot
+  // perturb it. The stop flag is polled before every unit: once it flips,
+  // each worker finishes at most the group in hand.
+  std::vector<std::uint8_t> skipped(units.size(), 0);
+  auto eval_units = [&](std::size_t worker, std::size_t b, std::size_t e) {
+    MetricsSink* sink =
+        observers.sinks.empty() ? nullptr : &observers.sinks[worker];
+    TraceBuffer* trace_buf =
+        observers.traces.empty() ? nullptr : &observers.traces[worker];
+    const auto w = static_cast<std::uint32_t>(worker);
+    auto eval_one = [&](std::size_t, std::size_t i) {
+      const bool timing = sink != nullptr || trace_buf != nullptr;
+      const std::uint64_t t0 = timing ? monotonic_ns() : 0;
+      records[i] = evaluate_sample_isolated(samples[i], scratch[worker], sink);
+      complete_sample(records[i], base + i, w, t0, sink, trace_buf);
+    };
+    for (std::size_t u = b; u < e; ++u) {
+      if (config_.stop != nullptr &&
+          config_.stop->load(std::memory_order_relaxed)) {
+        skipped[u] = 1;
+      } else if (units[u].size() == 1) {
+        eval_one(worker, units[u][0]);
+      } else {
+        evaluate_group(samples, records, units[u], base, scratch[worker], sink,
+                       trace_buf, w, eval_one);
+      }
+    }
+  };
+  parallel_for(units.size(), scratch.size(), /*grain=*/1, eval_units);
+  // Every sample below the first skipped unit's first index belongs to an
+  // earlier, evaluated unit: that index ends the contiguous prefix.
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    if (skipped[u] != 0) return units[u][0];
   }
-  parallel_for(hi - lo, scratch.size(), /*grain=*/8,
-               [&](std::size_t worker, std::size_t b, std::size_t e) {
-                 for (std::size_t i = lo + b; i < lo + e; ++i) {
-                   eval_one(worker, i);
-                 }
-               });
+  return n;
 }
 
 void SsfEvaluator::evaluate_group(
-    const std::vector<faultsim::FaultSample>& samples,
-    std::vector<SampleRecord>& records, const std::vector<std::size_t>& unit,
+    const faultsim::FaultSample* samples, SampleRecord* records,
+    const std::vector<std::size_t>& unit, std::size_t base,
     std::unique_ptr<EvalScratch>& scratch, MetricsSink* sink,
     TraceBuffer* trace_buf, std::uint32_t worker,
     const std::function<void(std::size_t, std::size_t)>& scalar_eval) const {
@@ -680,23 +676,116 @@ void SsfEvaluator::evaluate_group(
       continue;
     }
     records[i] = std::move(rec);
-    if (timing) {
-      const std::uint64_t dur = monotonic_ns() - t0;
-      if (sink != nullptr) {
-        sink->add_timer_ns(path_timer_name(records[i].path), dur);
-      }
-      if (trace_buf != nullptr) {
-        trace_buf->record(outcome_path_name(records[i].path), "sample", t0,
-                          dur, worker, i);
-      }
-    }
-    if (config_.progress != nullptr) {
-      const bool failed = records[i].path == OutcomePath::kFailed;
-      config_.progress->record(failed ? 0.0 : records[i].contribution,
-                               records[i].sample.weight, failed);
-    }
-    if (config_.on_sample) config_.on_sample(records[i], i);
+    complete_sample(records[i], base + i, worker, t0, sink, trace_buf);
   }
+}
+
+Result<SsfResult> SsfEvaluator::run_waves(
+    std::size_t n, std::size_t shard, ReduceState state, JournalWriter* writer,
+    const SampleSource& wave_samples) const {
+  std::vector<std::unique_ptr<EvalScratch>> scratch;
+  {
+    ScopeTimer timer(config_.metrics, "run.scratch_setup_ns");
+    scratch = make_scratch_pool(n - state.index);
+  }
+  WorkerObservers observers = make_observers(scratch.size());
+  // A wave is a whole number of shards, so every wave starts on a shard
+  // boundary and shard frames keep the byte layout of per-shard commits.
+  const std::size_t wave =
+      shard * std::max<std::size_t>(1, kWaveSamples / shard);
+  std::uint64_t reduce_ns = 0;
+  std::vector<SampleRecord> records;
+  while (state.index < n) {
+    const std::size_t lo = state.index;
+    const std::size_t len = std::min(wave, n - lo);
+    records.clear();
+    records.resize(len);
+    const faultsim::FaultSample* samples = wave_samples(lo, lo + len);
+    const std::size_t evaluated =
+        evaluate_wave(samples, records.data(), len, lo, scratch, observers);
+    // Only whole shards of the evaluated prefix are committed and reduced
+    // (the campaign's short last shard only once the wave completed), so an
+    // interrupted run leaves exactly the journal a crash would and resume
+    // continues from the first missing index either way.
+    std::size_t keep = evaluated == len ? len : evaluated - evaluated % shard;
+    for (std::size_t s = 0; writer != nullptr && s < keep; s += shard) {
+      const Status appended =
+          writer->append_shard(lo + s, &records[s], std::min(shard, keep - s));
+      if (appended.is_ok()) continue;
+      if (appended.code() != ErrorCode::kStorageFull) return appended;
+      // The disk filled (or failed) mid-campaign. Everything journaled so
+      // far is durable, so stop gracefully with a partial, resumable result
+      // instead of erroring out — exactly like a stop-flag interruption.
+      if (config_.metrics != nullptr) {
+        config_.metrics->add_counter("journal.storage_full_stops");
+      }
+      keep = s;
+      break;
+    }
+    const std::uint64_t t0 = monotonic_ns();
+    for (std::size_t i = 0; i < keep; ++i) {
+      fold_record(state, std::move(records[i]));
+    }
+    reduce_ns += monotonic_ns() - t0;
+    if (keep < len) break;
+  }
+  merge_observers(std::move(observers));
+  const std::uint64_t t0 = monotonic_ns();
+  SsfResult result = finish_reduce(std::move(state));
+  if (config_.metrics != nullptr) {
+    config_.metrics->add_timer_ns("run.reduce_ns",
+                                  reduce_ns + monotonic_ns() - t0);
+  }
+  result.interrupted = result.evaluated < n;
+  return result;
+}
+
+Status SsfEvaluator::open_journal(const JournalOptions& options, std::size_t n,
+                                  const SampleSource& wave_samples,
+                                  ReduceState& state,
+                                  JournalWriter& writer) const {
+  JournalMeta meta;
+  meta.fingerprint = options.fingerprint;
+  meta.total_samples = n;
+  meta.context = options.context;
+  std::uint64_t valid_bytes = 0;
+  if (options.resume) {
+    Result<JournalContents> loaded = read_journal(options.dir);
+    if (!loaded.is_ok()) return loaded.status();
+    JournalContents& j = loaded.value();
+    valid_bytes = j.valid_bytes;
+    if (j.meta.fingerprint != meta.fingerprint ||
+        j.meta.total_samples != meta.total_samples) {
+      return Status(ErrorCode::kJournalCorrupt,
+                    "journal belongs to a different campaign (fingerprint or "
+                    "sample count mismatch)");
+    }
+    // Cross-check the journaled prefix against the re-drawn (or
+    // re-enumerated) stream: a mismatch means the sampler, seed, config or
+    // bound space changed under the journal.
+    const std::size_t done = std::min(j.records.size(), n);
+    for (std::size_t lo = 0; lo < done; lo += kWaveSamples) {
+      const std::size_t hi = std::min(lo + kWaveSamples, done);
+      const faultsim::FaultSample* expected = wave_samples(lo, hi);
+      for (std::size_t i = lo; i < hi; ++i) {
+        if (!sample_matches(j.records[i].sample, expected[i - lo])) {
+          return Status(ErrorCode::kJournalCorrupt,
+                        "journaled sample " + std::to_string(i) +
+                            " does not match the re-drawn sample stream");
+        }
+        fold_record(state, std::move(j.records[i]));
+      }
+    }
+  }
+  writer.set_metrics(config_.metrics);
+  const Status open = options.resume && state.index > 0
+                          ? writer.open_append(options.dir, valid_bytes)
+                          : writer.open_fresh(options.dir, meta);
+  if (!open.is_ok()) return open;
+  if (config_.metrics != nullptr) {
+    config_.metrics->add_counter("journal.resumed_records", state.index);
+  }
+  return Status::ok();
 }
 
 SsfResult SsfEvaluator::run_batch(
@@ -705,37 +794,10 @@ SsfResult SsfEvaluator::run_batch(
   // draw FaultSamples (MC samplers, exact enumeration drivers, replay tools)
   // inherits the full pipeline — worker pool, isolation, observability and
   // the deterministic sample-index-ordered reduction.
-  const std::size_t n = samples.size();
-  std::vector<SampleRecord> records(n);
-  std::vector<std::unique_ptr<EvalScratch>> scratch;
-  {
-    ScopeTimer timer(config_.metrics, "run.scratch_setup_ns");
-    scratch = make_scratch_pool(n);
-  }
-  WorkerObservers observers = make_observers(scratch.size());
-  // With a stop flag the batch is evaluated in chunks so a SIGINT lands
-  // within one chunk of work; without one, a single range call avoids the
-  // (small) per-chunk scheduling barrier.
-  std::size_t done = n;
-  if (config_.stop == nullptr) {
-    evaluate_range(samples, records, 0, n, scratch, &observers);
-  } else {
-    constexpr std::size_t kStopChunk = 256;
-    done = 0;
-    while (done < n && !config_.stop->load(std::memory_order_relaxed)) {
-      const std::size_t hi = std::min(done + kStopChunk, n);
-      evaluate_range(samples, records, done, hi, scratch, &observers);
-      done = hi;
-    }
-  }
-  merge_observers(std::move(observers));
-  // Reduce in sample-index order — the exact accumulation a sequential loop
-  // would perform, so the estimate is independent of the schedule.
-  ScopeTimer timer(config_.metrics, "run.reduce_ns");
-  records.resize(done);
-  SsfResult result = reduce(std::move(records));
-  result.interrupted = done < n;
-  return result;
+  const SampleSource drawn = [&samples](std::size_t lo, std::size_t) {
+    return samples.data() + lo;
+  };
+  return run_waves(samples.size(), 1, {}, nullptr, drawn).value();
 }
 
 SsfResult SsfEvaluator::run(Sampler& sampler, Rng& rng, std::size_t n) const {
@@ -748,9 +810,9 @@ SsfResult SsfEvaluator::run(Sampler& sampler, Rng& rng, std::size_t n) const {
   return run_batch(std::move(samples));
 }
 
-Result<SsfResult> SsfEvaluator::run_journaled(
-    Sampler& sampler, Rng& rng, std::size_t n,
-    const JournalOptions& options) const {
+namespace {
+
+Status check_journal_options(const JournalOptions& options) {
   if (options.dir.empty()) {
     return Status(ErrorCode::kInvalidArgument, "journal directory is empty");
   }
@@ -758,97 +820,8 @@ Result<SsfResult> SsfEvaluator::run_journaled(
     return Status(ErrorCode::kInvalidArgument,
                   "journal shard_size must be > 0");
   }
-  std::vector<faultsim::FaultSample> samples;
-  try {
-    samples = draw_batch(sampler, rng, n);
-  } catch (const StatusError& e) {
-    return e.status();
-  }
-
-  JournalMeta meta;
-  meta.fingerprint = options.fingerprint;
-  meta.total_samples = n;
-  meta.context = options.context;
-
-  std::vector<SampleRecord> records(n);
-  std::size_t done = 0;  // records [0, done) restored from the journal
-  std::uint64_t valid_bytes = 0;
-  if (options.resume) {
-    Result<JournalContents> loaded = read_journal(options.dir);
-    if (!loaded.is_ok()) return loaded.status();
-    JournalContents& j = loaded.value();
-    valid_bytes = j.valid_bytes;
-    if (j.meta.fingerprint != meta.fingerprint ||
-        j.meta.total_samples != meta.total_samples) {
-      return Status(ErrorCode::kJournalCorrupt,
-                    "journal belongs to a different campaign (fingerprint or "
-                    "sample count mismatch)");
-    }
-    done = std::min(j.records.size(), n);
-    for (std::size_t i = 0; i < done; ++i) {
-      // Cross-check the journaled sample against the freshly re-drawn one:
-      // a mismatch means the sampler/seed/config changed under the journal.
-      if (!sample_matches(j.records[i].sample, samples[i])) {
-        return Status(ErrorCode::kJournalCorrupt,
-                      "journaled sample " + std::to_string(i) +
-                          " does not match the re-drawn sample stream");
-      }
-      records[i] = std::move(j.records[i]);
-    }
-  }
-
-  JournalWriter writer;
-  writer.set_metrics(config_.metrics);
-  const Status open = options.resume && done > 0
-                          ? writer.open_append(options.dir, valid_bytes)
-                          : writer.open_fresh(options.dir, meta);
-  if (!open.is_ok()) return open;
-  if (config_.metrics != nullptr) {
-    config_.metrics->add_counter("journal.resumed_records", done);
-  }
-
-  auto scratch = make_scratch_pool(n);
-  WorkerObservers observers = make_observers(scratch.size());
-  // The stop flag is polled at shard granularity: a shard either completes
-  // and is committed to the journal, or was never started — so an
-  // interrupted run leaves exactly the journal a crash would, and resume
-  // continues from the first missing index either way.
-  for (std::size_t lo = done; lo < n; lo += options.shard_size) {
-    if (config_.stop != nullptr &&
-        config_.stop->load(std::memory_order_relaxed)) {
-      break;
-    }
-    const std::size_t hi = std::min(lo + options.shard_size, n);
-    evaluate_range(samples, records, lo, hi, scratch, &observers);
-    const Status appended = writer.append_shard(lo, &records[lo], hi - lo);
-    if (!appended.is_ok()) {
-      if (appended.code() == ErrorCode::kStorageFull) {
-        // The disk filled (or failed) mid-campaign. Everything journaled so
-        // far is durable, so stop gracefully with a partial, resumable
-        // result instead of erroring out — exactly like a stop-flag
-        // interruption. `done` excludes the shard whose append failed.
-        if (config_.metrics != nullptr) {
-          config_.metrics->add_counter("journal.storage_full_stops");
-        }
-        break;
-      }
-      return appended;
-    }
-    done = hi;
-  }
-  merge_observers(std::move(observers));
-  records.resize(done);
-  SsfResult result = reduce(std::move(records));
-  result.interrupted = done < n;
-  return result;
+  return Status::ok();
 }
-
-SsfResult SsfEvaluator::reduce_records(
-    std::vector<SampleRecord> records) const {
-  return reduce(std::move(records));
-}
-
-namespace {
 
 // Effective sweep length: the bound space clipped by --space-limit.
 std::size_t exhaustive_total(std::uint64_t space, std::uint64_t space_limit) {
@@ -859,8 +832,36 @@ std::size_t exhaustive_total(std::uint64_t space, std::uint64_t space_limit) {
 
 }  // namespace
 
-SsfResult SsfEvaluator::run_exhaustive(std::uint64_t space_limit) const {
+Result<SsfResult> SsfEvaluator::run_journaled(
+    Sampler& sampler, Rng& rng, std::size_t n,
+    const JournalOptions& options) const {
   ScopeTimer run_timer(config_.metrics, "run.total_ns");
+  const Status valid = check_journal_options(options);
+  if (!valid.is_ok()) return valid;
+  std::vector<faultsim::FaultSample> samples;
+  try {
+    ScopeTimer timer(config_.metrics, "run.draw_batch_ns");
+    samples = draw_batch(sampler, rng, n);
+  } catch (const StatusError& e) {
+    return e.status();
+  }
+  const SampleSource drawn = [&samples](std::size_t lo, std::size_t) {
+    return samples.data() + lo;
+  };
+  ReduceState state;
+  JournalWriter writer;
+  const Status opened = open_journal(options, n, drawn, state, writer);
+  if (!opened.is_ok()) return opened;
+  return run_waves(n, options.shard_size, std::move(state), &writer, drawn);
+}
+
+SsfResult SsfEvaluator::reduce_records(
+    std::vector<SampleRecord> records) const {
+  return reduce(std::move(records));
+}
+
+SsfEvaluator::SampleSource SsfEvaluator::enumerator(
+    std::uint64_t space_limit, std::size_t* n) const {
   const std::uint64_t space = technique_->space_size();
   if (space == 0) {
     throw StatusError(ErrorCode::kInvalidArgument,
@@ -868,145 +869,47 @@ SsfResult SsfEvaluator::run_exhaustive(std::uint64_t space_limit) const {
                           "' has no bound fault space (call bind_space "
                           "before run_exhaustive)");
   }
-  const std::size_t n = exhaustive_total(space, space_limit);
-  std::vector<std::unique_ptr<EvalScratch>> scratch;
-  {
-    ScopeTimer timer(config_.metrics, "run.scratch_setup_ns");
-    scratch = make_scratch_pool(n);
-  }
-  WorkerObservers observers = make_observers(scratch.size());
-  // Stream the enumeration in bounded chunks: memory stays O(kChunk) no
-  // matter how large the grid is, and the chunk-local records are folded
-  // into the running reduction in enumeration-index order — the exact
-  // accumulation one reduce() over the materialized space would perform.
-  // (Chunk boundaries can split a te-group across word-parallel batches,
-  // which is harmless: batching is bitwise-identical to the scalar path.)
-  constexpr std::size_t kChunk = 256;
-  ReduceState state;
-  std::vector<faultsim::FaultSample> chunk;
-  std::vector<SampleRecord> records;
-  std::size_t done = 0;
-  while (done < n) {
-    if (config_.stop != nullptr &&
-        config_.stop->load(std::memory_order_relaxed)) {
-      break;
-    }
-    const std::size_t hi = std::min(done + kChunk, n);
-    technique_->enumerate(done, hi, chunk);
-    records.clear();
-    records.resize(hi - done);
-    evaluate_range(chunk, records, 0, hi - done, scratch, &observers);
-    for (SampleRecord& rec : records) fold_record(state, std::move(rec));
-    done = hi;
-  }
-  merge_observers(std::move(observers));
-  SsfResult result = finish_reduce(std::move(state));
-  result.fault_space_size = space;
-  result.interrupted = done < n;
+  *n = exhaustive_total(space, space_limit);
+  // The enumeration is streamed wave by wave into one reused buffer: memory
+  // stays O(wave) no matter how large the grid is.
+  auto buffer = std::make_shared<std::vector<faultsim::FaultSample>>();
+  return [this, buffer](std::size_t lo, std::size_t hi) {
+    ScopeTimer timer(config_.metrics, "run.draw_batch_ns");
+    technique_->enumerate(lo, hi, *buffer);
+    return buffer->data();
+  };
+}
+
+SsfResult SsfEvaluator::run_exhaustive(std::uint64_t space_limit) const {
+  ScopeTimer run_timer(config_.metrics, "run.total_ns");
+  std::size_t n = 0;
+  const SampleSource enumerate = enumerator(space_limit, &n);
+  SsfResult result = run_waves(n, 1, {}, nullptr, enumerate).value();
+  result.fault_space_size = technique_->space_size();
   return result;
 }
 
 Result<SsfResult> SsfEvaluator::run_exhaustive_journaled(
     const JournalOptions& options, std::uint64_t space_limit) const {
-  if (options.dir.empty()) {
-    return Status(ErrorCode::kInvalidArgument, "journal directory is empty");
+  ScopeTimer run_timer(config_.metrics, "run.total_ns");
+  const Status valid = check_journal_options(options);
+  if (!valid.is_ok()) return valid;
+  std::size_t n = 0;
+  SampleSource enumerate;
+  try {
+    enumerate = enumerator(space_limit, &n);
+  } catch (const StatusError& e) {
+    return e.status();
   }
-  if (options.shard_size == 0) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "journal shard_size must be > 0");
-  }
-  const std::uint64_t space = technique_->space_size();
-  if (space == 0) {
-    return Status(ErrorCode::kInvalidArgument,
-                  std::string("technique '") + technique_->name() +
-                      "' has no bound fault space (call bind_space before "
-                      "run_exhaustive_journaled)");
-  }
-  const std::size_t n = exhaustive_total(space, space_limit);
-
-  JournalMeta meta;
-  meta.fingerprint = options.fingerprint;
-  meta.total_samples = n;
-  meta.context = options.context;
-
   ReduceState state;
-  std::vector<faultsim::FaultSample> chunk;
-  std::size_t done = 0;  // records [0, done) restored from the journal
-  std::uint64_t valid_bytes = 0;
-  if (options.resume) {
-    Result<JournalContents> loaded = read_journal(options.dir);
-    if (!loaded.is_ok()) return loaded.status();
-    JournalContents& j = loaded.value();
-    valid_bytes = j.valid_bytes;
-    if (j.meta.fingerprint != meta.fingerprint ||
-        j.meta.total_samples != meta.total_samples) {
-      return Status(ErrorCode::kJournalCorrupt,
-                    "journal belongs to a different campaign (fingerprint or "
-                    "sample count mismatch)");
-    }
-    done = std::min(j.records.size(), n);
-    // Cross-check the journaled prefix against the re-enumerated stream —
-    // the enumeration-index analogue of run_journaled's re-drawn-sample
-    // check: a mismatch means the bound space (model grid, benchmark)
-    // changed under the journal.
-    for (std::size_t lo = 0; lo < done; lo += options.shard_size) {
-      const std::size_t hi = std::min(lo + options.shard_size, done);
-      technique_->enumerate(lo, hi, chunk);
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (!sample_matches(j.records[i].sample, chunk[i - lo])) {
-          return Status(ErrorCode::kJournalCorrupt,
-                        "journaled sample " + std::to_string(i) +
-                            " does not match the enumerated fault space");
-        }
-        fold_record(state, std::move(j.records[i]));
-      }
-    }
-  }
-
   JournalWriter writer;
-  writer.set_metrics(config_.metrics);
-  const Status open = options.resume && done > 0
-                          ? writer.open_append(options.dir, valid_bytes)
-                          : writer.open_fresh(options.dir, meta);
-  if (!open.is_ok()) return open;
-  if (config_.metrics != nullptr) {
-    config_.metrics->add_counter("journal.resumed_records", done);
+  const Status opened = open_journal(options, n, enumerate, state, writer);
+  if (!opened.is_ok()) return opened;
+  Result<SsfResult> result =
+      run_waves(n, options.shard_size, std::move(state), &writer, enumerate);
+  if (result.is_ok()) {
+    result.value().fault_space_size = technique_->space_size();
   }
-
-  auto scratch = make_scratch_pool(n);
-  WorkerObservers observers = make_observers(scratch.size());
-  std::vector<SampleRecord> records;
-  // Shards are enumerated, evaluated, committed, then folded — so an
-  // interrupted sweep leaves exactly the journal a crash would, and the
-  // running reduction only ever covers committed shards.
-  for (std::size_t lo = done; lo < n; lo += options.shard_size) {
-    if (config_.stop != nullptr &&
-        config_.stop->load(std::memory_order_relaxed)) {
-      break;
-    }
-    const std::size_t hi = std::min(lo + options.shard_size, n);
-    technique_->enumerate(lo, hi, chunk);
-    records.clear();
-    records.resize(hi - lo);
-    evaluate_range(chunk, records, 0, hi - lo, scratch, &observers);
-    const Status appended = writer.append_shard(lo, records.data(), hi - lo);
-    if (!appended.is_ok()) {
-      if (appended.code() == ErrorCode::kStorageFull) {
-        // See run_journaled: durable prefix, graceful resumable stop.
-        if (config_.metrics != nullptr) {
-          config_.metrics->add_counter("journal.storage_full_stops");
-        }
-        break;
-      }
-      return appended;
-    }
-    for (SampleRecord& rec : records) fold_record(state, std::move(rec));
-    done = hi;
-  }
-  merge_observers(std::move(observers));
-  SsfResult result = finish_reduce(std::move(state));
-  result.fault_space_size = space;
-  result.interrupted = done < n;
   return result;
 }
 

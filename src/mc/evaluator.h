@@ -48,6 +48,8 @@
 
 namespace fav::mc {
 
+class JournalWriter;
+
 enum class OutcomePath {
   kMasked,      // no latched error
   kAnalytical,  // memory-type-only error, decided without simulation
@@ -200,11 +202,13 @@ struct EvaluatorConfig {
   ProgressMeter* progress = nullptr;
 
   /// --- cooperative control (all optional) -------------------------------
-  /// Graceful-stop flag, polled between evaluation chunks in run()/
-  /// run_batch() and between shards in run_journaled(). When it flips true
-  /// the run finishes its in-flight chunk, reduces the evaluated prefix, and
-  /// returns with SsfResult::interrupted set — already-journaled work stays
-  /// valid for a later resume. Null disables polling entirely.
+  /// Graceful-stop flag, polled by every worker between te-groups (about
+  /// 0.4 ms of work for a full 64-lane group) in every run entry point. When
+  /// it flips true each worker finishes the group in hand, the run reduces
+  /// the contiguous evaluated prefix — cut back to whole journal shards on
+  /// journaled runs, after committing them — and returns with
+  /// SsfResult::interrupted set; journaled work stays valid for a later
+  /// resume. Null disables polling entirely.
   const std::atomic<bool>* stop = nullptr;
   /// Invoked once per evaluated sample, from the worker thread that finished
   /// it, right after its record slot is written (completion order, not
@@ -264,6 +268,11 @@ class EvalScratch {
   std::vector<std::vector<netlist::NodeId>> lane_flips_;
 };
 
+/// Sets the "eval.lane_occupancy" gauge (mean lanes per word-parallel
+/// te-group: eval.batch_lanes / eval.batch_groups) from the counters already
+/// in `metrics`; a no-op while no group was evaluated.
+void update_lane_occupancy(MetricsSink& metrics);
+
 /// Options for crash-safe journaled campaigns (see mc/journal.h for the
 /// on-disk format). The journal directory accumulates completed sample-index
 /// shards with checksums; a resumed run replays them and continues from the
@@ -273,8 +282,10 @@ struct JournalOptions {
   /// Replay an existing journal and continue; false starts a fresh journal
   /// (overwriting any previous one in `dir`).
   bool resume = false;
-  /// Samples per journal shard: the flush/commit granularity. A crash loses
-  /// at most one shard of work.
+  /// Samples per journal shard: the commit granularity. Shards are
+  /// appended after each scheduling wave (SsfEvaluator::kWaveSamples,
+  /// rounded to whole shards), so a crash loses at most one wave of work; a
+  /// stop commits every whole shard it finished. Does not limit te-groups.
   std::size_t shard_size = 256;
   /// Campaign identity (hash of benchmark/sampler/seed/config); a resume
   /// against a journal with a different fingerprint is rejected.
@@ -285,6 +296,12 @@ struct JournalOptions {
 
 class SsfEvaluator {
  public:
+  /// Scheduling wave: every run entry point evaluates its samples in waves
+  /// of this many consecutive indices (rounded to whole journal shards),
+  /// with te-groups formed across the whole wave so they can fill all 64
+  /// lanes. Journal shards are committed after each wave.
+  static constexpr std::size_t kWaveSamples = 64 * 256;
+
   /// Technique-generic engine: evaluates samples of `technique`'s family.
   /// `characterization` may be null: the analytical path is then disabled
   /// (every unmasked sample resumes at RTL level). All references must
@@ -366,14 +383,15 @@ class SsfEvaluator {
   /// Evaluates an explicit, pre-drawn batch through the full pipeline
   /// (worker pool, isolation, observability, sample-index-ordered
   /// reduction). The seam run() uses after drawing its batch, and the
-  /// supervisor's workers use for their assigned shards.
+  /// supervisor's workers use for their assigned shards. A stop covers the
+  /// contiguous prefix of samples evaluated before it.
   SsfResult run_batch(std::vector<faultsim::FaultSample> samples) const;
 
   /// Exhaustively sweeps the technique's bound fault space (see
   /// AttackTechnique::bind_space / enumerate): every enumeration index in
   /// [0, min(space_size, space_limit)) is evaluated exactly once, streamed
-  /// through the batch pipeline in bounded chunks — the full space is never
-  /// materialized, so memory stays O(chunk) regardless of grid size. The
+  /// through the batch pipeline wave by wave — the full space is never
+  /// materialized, so memory stays O(wave) regardless of grid size. The
   /// result carries fault_space_size so coverage() reports the swept
   /// fraction, and is bitwise-identical to run_batch over the materialized
   /// enumeration at every thread and lane count. space_limit == 0 sweeps
@@ -425,14 +443,21 @@ class SsfEvaluator {
     std::vector<TraceBuffer> traces;
   };
 
-  /// Evaluates samples[lo, hi) into records[lo, hi) on the worker pool,
-  /// reusing `scratch` (one slot per worker; isolated evaluation).
-  /// `observers` may be null (no instrumentation) or sized to the pool.
-  void evaluate_range(const std::vector<faultsim::FaultSample>& samples,
-                      std::vector<SampleRecord>& records, std::size_t lo,
-                      std::size_t hi,
-                      std::vector<std::unique_ptr<EvalScratch>>& scratch,
-                      WorkerObservers* observers) const;
+  /// Produces the samples of indices [lo, hi) — a slice of a pre-drawn
+  /// batch or a streamed enumeration; valid until the next call.
+  using SampleSource =
+      std::function<const faultsim::FaultSample*(std::size_t, std::size_t)>;
+
+  /// Evaluates one wave, samples[0, n) into records[0, n), on the worker
+  /// pool: te-groups are formed across the whole wave, and the stop flag is
+  /// polled before every group. Returns the length of the contiguous
+  /// evaluated prefix (n unless the stop flag cut the wave). `base` is the
+  /// wave's first sample index, reported to on_sample and the trace.
+  std::size_t evaluate_wave(const faultsim::FaultSample* samples,
+                            SampleRecord* records, std::size_t n,
+                            std::size_t base,
+                            std::vector<std::unique_ptr<EvalScratch>>& scratch,
+                            WorkerObservers& observers) const;
   /// Evaluates one te-group of batch-eligible samples (unit = their indices,
   /// all sharing the same injection cycle) through the word-parallel path:
   /// one restore + settle, one bit-parallel flip-set sweep, then per-lane
@@ -442,24 +467,28 @@ class SsfEvaluator {
   /// engine runs, so every record stays bitwise-identical to the scalar
   /// baseline.
   void evaluate_group(
-      const std::vector<faultsim::FaultSample>& samples,
-      std::vector<SampleRecord>& records,
-      const std::vector<std::size_t>& unit,
+      const faultsim::FaultSample* samples, SampleRecord* records,
+      const std::vector<std::size_t>& unit, std::size_t base,
       std::unique_ptr<EvalScratch>& scratch, MetricsSink* sink,
       TraceBuffer* trace_buf, std::uint32_t worker,
       const std::function<void(std::size_t, std::size_t)>& scalar_eval) const;
+  /// Per-sample completion: path timer and trace event (measured from t0),
+  /// progress tick and on_sample callback.
+  void complete_sample(const SampleRecord& rec, std::size_t index,
+                       std::uint32_t worker, std::uint64_t t0,
+                       MetricsSink* sink, TraceBuffer* trace_buf) const;
   WorkerObservers make_observers(std::size_t workers) const;
   /// Folds the per-worker sinks/traces into config_.metrics/config_.trace
-  /// in worker-index order.
+  /// in worker-index order, then refreshes the eval.lane_occupancy gauge.
   void merge_observers(WorkerObservers&& observers) const;
   /// Builds one scratch per resolved worker (capped by `n` work items).
   std::vector<std::unique_ptr<EvalScratch>> make_scratch_pool(
       std::size_t n) const;
   /// Incremental reduction state: fold_record() accumulates one record at a
   /// time in sample-index order, finish_reduce() seals the result and emits
-  /// the reduce-derived metrics. Folding records chunk by chunk performs the
+  /// the reduce-derived metrics. Folding records wave by wave performs the
   /// exact accumulation one reduce() over the concatenation would — the seam
-  /// run_exhaustive streams through without materializing every record.
+  /// every run streams through without materializing every record.
   struct ReduceState {
     SsfResult result;
     std::uint64_t records_dropped = 0;
@@ -470,6 +499,24 @@ class SsfEvaluator {
   /// Seed-order accumulation of evaluated records into an SsfResult; the
   /// single reduction path shared by the sequential and parallel engines.
   SsfResult reduce(std::vector<SampleRecord>&& records) const;
+  /// The wave loop every run entry point drives: evaluates indices
+  /// [state.index, n) wave by wave, appends each wave's shards to `writer`
+  /// (null = in-memory run, shard = 1) in index order, then folds them into
+  /// `state`. A stop or a full disk ends the run after the last whole
+  /// committed shard. Fails only on a journal write error.
+  Result<SsfResult> run_waves(std::size_t n, std::size_t shard,
+                              ReduceState state, JournalWriter* writer,
+                              const SampleSource& wave_samples) const;
+  /// Replays the journal on resume (cross-checking every journaled sample
+  /// against `wave_samples` and folding it into `state`), then opens
+  /// `writer` to append — or starts a fresh journal.
+  Status open_journal(const JournalOptions& options, std::size_t n,
+                      const SampleSource& wave_samples, ReduceState& state,
+                      JournalWriter& writer) const;
+  /// Streams the bound fault space's enumeration, clipped to `space_limit`
+  /// (its length goes to *n). Throws StatusError(kInvalidArgument) when no
+  /// space is bound.
+  SampleSource enumerator(std::uint64_t space_limit, std::size_t* n) const;
   /// Shared outcome decision on a machine already positioned just past the
   /// (last) injection cycle with the errors overlaid.
   bool decide_outcome(rtl::Machine& machine, const std::vector<int>& flips,

@@ -820,6 +820,7 @@ Result<SupervisedResult> CampaignSupervisor::run_batch(
       for (const WorkerSlot& s : fleet.slots()) {
         config_.metrics->merge(s.sink);
       }
+      update_lane_occupancy(*config_.metrics);
     }
   }
 

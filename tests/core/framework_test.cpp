@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -145,6 +146,39 @@ TEST(Framework, ThreadsKnobPreservesFrameworkResults) {
   EXPECT_EQ(parallel.trace, sequential.trace);
   EXPECT_EQ(parallel.bit_contribution, sequential.bit_contribution);
   EXPECT_EQ(parallel.field_contribution, sequential.field_contribution);
+}
+
+TEST(Framework, ProductionPathFillsTheLanes) {
+  // The path users run: importance sampling, a stop flag set (never
+  // flipped), a journal and four threads. Te-groups must form across the
+  // whole scheduling wave; cut per 256-sample journal shard they held ~5 of
+  // 64 lanes, a regression the no-stop microbenchmarks never saw.
+  MetricsSink metrics;
+  const std::atomic<bool> stop{false};
+  mc::EvaluatorConfig cfg = fw().config().evaluator;
+  cfg.threads = 4;
+  cfg.metrics = &metrics;
+  cfg.stop = &stop;
+  const mc::SsfEvaluator engine(fw().soc(), fw().technique(), fw().benchmark(),
+                                fw().golden(), &fw().characterization(), cfg);
+  auto sampler =
+      fw().make_importance_sampler(fw().subblock_attack_model(1.5, 50));
+  Rng rng(2017);
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "fav_fw_lane_occupancy";
+  std::filesystem::remove_all(dir);
+  mc::JournalOptions jopt;
+  jopt.dir = dir.string();
+  jopt.fingerprint = 0x1A4E5;
+  const Result<mc::SsfResult> res =
+      engine.run_journaled(*sampler, rng, 20000, jopt);
+  ASSERT_TRUE(res.is_ok()) << res.status().to_string();
+  EXPECT_FALSE(res.value().interrupted);
+  EXPECT_EQ(res.value().evaluated, 20000u);
+  const double* occupancy = metrics.gauge("eval.lane_occupancy");
+  ASSERT_NE(occupancy, nullptr);
+  EXPECT_GE(*occupancy, 32.0);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FrameworkConfigValidation, RejectsStructurallyInvalidConfigs) {

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -241,6 +244,77 @@ TEST(ExhaustiveSweep, VoltageGlitchKillAndResumeIsBitwiseIdentical) {
   ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
   expect_bitwise_equal(resumed.value(), reference);
   EXPECT_DOUBLE_EQ(resumed.value().coverage(), 1.0);
+}
+
+TEST(ExhaustiveSweep, StopMidWaveCommitsWholeShardsAndResumesBitwise) {
+  // A journaled radiation sweep whose stop flag flips from on_sample in the
+  // middle of its wave: every worker finishes at most the te-group in hand,
+  // only whole shards of the evaluated prefix are committed, and resume
+  // reproduces the uninterrupted sweep and its journal byte for byte.
+  faultsim::AttackModel attack = radiation_model();
+  attack.candidate_centers.clear();
+  const auto& nodes = ctx().placement.placed_nodes();
+  for (std::size_t i = 0; i < nodes.size(); i += 10) {
+    attack.candidate_centers.push_back(nodes[i]);
+  }
+  faultsim::RadiationTechnique technique(ctx().placement, ctx().injector);
+  technique.bind_space(attack);
+  const std::uint64_t space = technique.space_size();
+  ASSERT_GT(space, 2000u);
+
+  JournalOptions jopt;
+  jopt.shard_size = 48;
+  jopt.fingerprint = 0x3A7E;
+  jopt.context = "exhaustive_stop_test";
+  auto file_bytes = [](const std::string& dir) {
+    std::ifstream in(fs::path(dir) / "campaign.fj", std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  jopt.dir = fresh_dir("stop_reference");
+  jopt.resume = false;
+  Result<SsfResult> reference =
+      ctx().make(technique).run_exhaustive_journaled(jopt);
+  ASSERT_TRUE(reference.is_ok()) << reference.status().to_string();
+  const std::string ref_bytes = file_bytes(jopt.dir);
+
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::atomic<bool> stop{false};
+    std::atomic<std::size_t> finished{0};
+    std::atomic<std::size_t> after_flip{0};
+    EvaluatorConfig cfg;
+    cfg.threads = threads;
+    cfg.stop = &stop;
+    cfg.on_sample = [&](const SampleRecord&, std::size_t) {
+      if (stop.load()) {
+        after_flip.fetch_add(1);
+      } else if (finished.fetch_add(1) + 1 == 1000) {
+        stop.store(true);
+      }
+    };
+    jopt.dir = fresh_dir("stop_t" + std::to_string(threads));
+    jopt.resume = false;
+    Result<SsfResult> cut = ctx().make(technique, cfg)
+                                .run_exhaustive_journaled(jopt);
+    ASSERT_TRUE(cut.is_ok()) << cut.status().to_string();
+    EXPECT_TRUE(cut.value().interrupted);
+    EXPECT_LT(cut.value().evaluated, space);
+    EXPECT_EQ(cut.value().evaluated % jopt.shard_size, 0u);
+    EXPECT_LE(after_flip.load(), threads * 64);
+
+    jopt.resume = true;
+    Result<SsfResult> resumed =
+        ctx().make(technique).run_exhaustive_journaled(jopt);
+    ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
+    EXPECT_FALSE(resumed.value().interrupted);
+    expect_bitwise_equal(resumed.value(), reference.value());
+    EXPECT_EQ(resumed.value().stats.standard_error(),
+              reference.value().stats.standard_error());
+    EXPECT_EQ(resumed.value().effective_sample_size(),
+              reference.value().effective_sample_size());
+    EXPECT_TRUE(file_bytes(jopt.dir) == ref_bytes)
+        << "resumed journal bytes differ from the uninterrupted journal";
+  }
 }
 
 TEST(ExhaustiveSweep, VoltageGlitchMonteCarloAgreesWithExactWithin3Sigma) {

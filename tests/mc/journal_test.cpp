@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -414,6 +416,124 @@ TEST(JournaledRun, KillAndResumeIsBitwiseIdenticalAtEveryThreadCount) {
         ev.run_journaled(sampler2, rng2, 200, test_options(dir, true));
     ASSERT_TRUE(replayed.is_ok()) << replayed.status().to_string();
     expect_bitwise_equal(replayed.value(), reference);
+  }
+}
+
+/// Flips the stop flag from on_sample once `flip_at` samples have finished,
+/// and counts the samples that finish after the flip.
+struct MidWaveStop {
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> finished{0};
+  std::atomic<std::size_t> after_flip{0};
+
+  EvaluatorConfig config(std::size_t threads, std::size_t flip_at) {
+    EvaluatorConfig cfg;
+    cfg.threads = threads;
+    cfg.stop = &stop;
+    cfg.on_sample = [this, flip_at](const SampleRecord&, std::size_t) {
+      if (stop.load()) {
+        after_flip.fetch_add(1);
+      } else if (finished.fetch_add(1) + 1 == flip_at) {
+        stop.store(true);
+      }
+    };
+    return cfg;
+  }
+};
+
+std::string file_bytes(const fs::path& file) {
+  std::ifstream in(file, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void expect_same_answer(const SsfResult& a, const SsfResult& b) {
+  expect_bitwise_equal(a, b);
+  EXPECT_EQ(a.evaluated, b.evaluated);
+  EXPECT_EQ(a.stats.standard_error(), b.stats.standard_error());
+  EXPECT_EQ(a.effective_sample_size(), b.effective_sample_size());
+}
+
+TEST(WaveScheduling, StopMidWaveReducesAContiguousPrefix) {
+  // run_batch with the stop flag flipped mid-wave: every worker finishes at
+  // most the te-group in hand, and the result is exactly the in-memory run
+  // over the contiguous prefix it reports.
+  const auto attack = test_attack();
+  RandomSampler sampler(attack);
+  Rng rng(47);
+  const std::vector<FaultSample> batch =
+      ctx().evaluator.draw_batch(sampler, rng, 2000);
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    MidWaveStop flip;
+    const SsfEvaluator ev(ctx().soc, ctx().placement, ctx().injector,
+                          ctx().bench, ctx().golden, &ctx().charac,
+                          flip.config(threads, 700));
+    const SsfResult cut = ev.run_batch(batch);
+    EXPECT_TRUE(cut.interrupted);
+    EXPECT_LT(cut.evaluated, batch.size());
+    EXPECT_LE(flip.after_flip.load(), threads * 64);
+    const std::vector<FaultSample> prefix(
+        batch.begin(),
+        batch.begin() + static_cast<std::ptrdiff_t>(cut.evaluated));
+    expect_same_answer(cut, ctx().evaluator.run_batch(prefix));
+  }
+}
+
+TEST(WaveScheduling, StopMidWaveCommitsWholeShardsAndResumesBitwise) {
+  // A journaled campaign whose stop flag flips in the middle of its second
+  // wave: the first wave is committed whole, the second only up to its last
+  // whole evaluated shard, and resume reproduces the uninterrupted answer
+  // and journal byte for byte. A 100-sample shard makes the wave 16,300
+  // samples (whole shards), not kWaveSamples.
+  constexpr std::size_t kShard = 100;
+  constexpr std::size_t kWave =
+      SsfEvaluator::kWaveSamples / kShard * kShard;
+  constexpr std::size_t kN = SsfEvaluator::kWaveSamples + 2000;
+  const auto attack = test_attack();
+  auto options = [](const std::string& dir, bool resume) {
+    JournalOptions o = test_options(dir, resume);
+    o.shard_size = kShard;
+    return o;
+  };
+
+  const std::string ref_dir = fresh_dir("wave_reference");
+  RandomSampler ref_sampler(attack);
+  Rng ref_rng(53);
+  Result<SsfResult> reference = ctx().evaluator.run_journaled(
+      ref_sampler, ref_rng, kN, options(ref_dir, false));
+  ASSERT_TRUE(reference.is_ok()) << reference.status().to_string();
+  const std::string ref_bytes = file_bytes(journal_file(ref_dir));
+
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::string dir = fresh_dir("wave_stop_t" + std::to_string(threads));
+    MidWaveStop flip;
+    const SsfEvaluator ev(ctx().soc, ctx().placement, ctx().injector,
+                          ctx().bench, ctx().golden, &ctx().charac,
+                          flip.config(threads, kWave + 600));
+    RandomSampler sampler(attack);
+    Rng rng(53);
+    Result<SsfResult> cut = ev.run_journaled(sampler, rng, kN,
+                                             options(dir, false));
+    ASSERT_TRUE(cut.is_ok()) << cut.status().to_string();
+    EXPECT_TRUE(cut.value().interrupted);
+    EXPECT_GE(cut.value().evaluated, kWave);
+    EXPECT_LT(cut.value().evaluated, kN);
+    EXPECT_EQ(cut.value().evaluated % kShard, 0u);
+    EXPECT_LE(flip.after_flip.load(), threads * 64);
+    Result<JournalContents> journaled = read_journal(dir);
+    ASSERT_TRUE(journaled.is_ok()) << journaled.status().to_string();
+    EXPECT_EQ(journaled.value().records.size(), cut.value().evaluated);
+
+    RandomSampler resume_sampler(attack);
+    Rng resume_rng(53);
+    Result<SsfResult> resumed = ctx().evaluator.run_journaled(
+        resume_sampler, resume_rng, kN, options(dir, true));
+    ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
+    EXPECT_FALSE(resumed.value().interrupted);
+    expect_same_answer(resumed.value(), reference.value());
+    EXPECT_TRUE(file_bytes(journal_file(dir)) == ref_bytes)
+        << "resumed journal bytes differ from the uninterrupted journal";
   }
 }
 

@@ -214,6 +214,30 @@ TEST(Observability, JournaledRunRecordsJournalMetrics) {
   EXPECT_GT(metrics.counter("journal.bytes_written"), 0u);
   ASSERT_NE(metrics.timer("journal.fsync_ns"), nullptr);
   EXPECT_GE(metrics.timer("journal.fsync_ns")->count, 1u);
+  // The journaled path reports the same run-phase timers as run().
+  for (const char* name : {"run.total_ns", "run.draw_batch_ns",
+                           "run.scratch_setup_ns", "run.reduce_ns"}) {
+    ASSERT_NE(metrics.timer(name), nullptr) << name;
+    EXPECT_EQ(metrics.timer(name)->count, 1u) << name;
+  }
+  EXPECT_GE(metrics.timer("run.total_ns")->total_ns,
+            metrics.timer("run.reduce_ns")->total_ns);
+  // Lane occupancy is reported next to the counters it is derived from.
+  ASSERT_GT(metrics.counter("eval.batch_groups"), 0u);
+  ASSERT_NE(metrics.gauge("eval.lane_occupancy"), nullptr);
+  EXPECT_EQ(*metrics.gauge("eval.lane_occupancy"),
+            static_cast<double>(metrics.counter("eval.batch_lanes")) /
+                static_cast<double>(metrics.counter("eval.batch_groups")));
+}
+
+TEST(Observability, ScalarRunReportsNoLaneOccupancy) {
+  MetricsSink metrics;
+  EvaluatorConfig cfg;
+  cfg.metrics = &metrics;
+  cfg.batch_lanes = 1;
+  run_with(cfg);
+  EXPECT_EQ(metrics.counter("eval.batch_groups"), 0u);
+  EXPECT_EQ(metrics.gauge("eval.lane_occupancy"), nullptr);
 }
 
 }  // namespace

@@ -85,10 +85,12 @@
 //   --heartbeat-ms N              supervise only: per-sample liveness
 //                                  deadline before a worker is presumed
 //                                  wedged (default 30000)
-//   --shard-size N                samples per journal shard: the flush /
-//                                  commit granularity, and the per-worker
-//                                  assignment size under --supervise
-//                                  (default 256)
+//   --shard-size N                samples per journal shard: the
+//                                  durability (commit) granularity, and
+//                                  the per-worker assignment size under
+//                                  --supervise (default 256). It does not
+//                                  cap te-groups: those form across whole
+//                                  scheduling waves of ~16k samples
 //   --metrics-out FILE            evaluate only: JSON run report (phase
 //                                  timings, outcome-path counters, ESS)
 //   --trace-out FILE              evaluate only: Chrome-trace events
@@ -148,10 +150,11 @@ using namespace fav;
 
 namespace {
 
-/// Graceful-stop flag set by SIGINT/SIGTERM: the engine (or supervisor)
-/// finishes the in-flight chunk, flushes a partial run report marked
-/// interrupted, and exits with code 3. The handler is installed with
-/// SA_RESETHAND, so a second signal terminates immediately.
+/// Graceful-stop flag set by SIGINT/SIGTERM: the engine finishes the
+/// te-groups in flight (the supervisor, its assigned shards), flushes a
+/// partial run report marked interrupted, and exits with code 3. The
+/// handler is installed with SA_RESETHAND, so a second signal terminates
+/// immediately.
 std::atomic<bool> g_stop{false};
 
 void handle_stop_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
@@ -270,7 +273,10 @@ void print_usage(const std::string& message) {
                "                               reuse the pre-characterization\n"
                "                               bundle; integrity-checked)\n"
                "         --supervise N  --heartbeat-ms N\n"
-               "         --shard-size N (evaluate only, needs --journal)\n"
+               "         --shard-size N (evaluate only, needs --journal;\n"
+               "                              journal durability granularity,\n"
+               "                              --supervise assignment size;\n"
+               "                              does not cap te-groups)\n"
                "         --metrics-out FILE  --trace-out FILE  --progress\n"
                "                              (evaluate only)\n"
                "         --socket PATH        (serve/submit: Unix socket)\n"
