@@ -1,34 +1,36 @@
 // Crash-safe append-only run journal for Monte Carlo campaigns.
 //
 // A campaign of 1e4–1e6 samples can run for hours; the journal makes a
-// SIGKILL (or power loss) cost at most one shard of work. On-disk layout
-// (single file `<dir>/campaign.fj`, all integers little-endian):
+// SIGKILL (or power loss) cost at most one shard of work. The file
+// (`<dir>/campaign.fj`, or a supervised worker's `worker-<k>.fj`) is a
+// record log (util/record_log.h), all integers little-endian:
 //
-//   header:  magic "FAVJRNL2" | u32 meta_len | meta | u64 fnv1a(meta)
-//   meta:    u64 fingerprint | u64 total_samples | u32 ctx_len | ctx bytes
-//   frame*:  u32 'MARF' | u64 first_index | u32 count | u32 payload_len
-//            | payload | u64 fnv1a(frame header fields + payload)
+//   magic "FAVJRNL3"
+//   record 0:  u64 fingerprint | u64 total_samples | context bytes
+//   record*:   u64 first_index | u32 count | count serialized SampleRecords
 //
-// Each frame holds the serialized SampleRecords of one completed shard of
-// consecutive sample indices and is flushed + fsynced before the next shard
-// starts, so the file always contains a checksummed prefix of the campaign.
-// The reader accepts a torn tail (a partially-written last frame is the
-// normal crash artifact and is simply dropped) but reports kJournalCorrupt
-// for mid-file damage — a bad frame followed by further valid data — and for
-// header/meta corruption. Resume re-draws the sample stream deterministically
-// and continues from the first missing index, so a killed-and-resumed run is
+// where every record is framed `u32 len | payload | u32 crc32c(payload)`.
+// Each frame record holds one completed shard of consecutive sample indices
+// and is fsynced before the next shard starts, so the file always contains
+// a checksummed prefix of the campaign. The reader drops a torn tail (a
+// partially-written last record is the normal crash artifact) but reports
+// kJournalCorrupt for mid-file damage — a bad record followed by more data —
+// and for header/meta corruption, including journals written in the older
+// FAVJRNL2 format. Resume re-draws the sample stream deterministically and
+// continues from the first missing index, so a killed-and-resumed run is
 // bitwise-identical to an uninterrupted one (see SsfEvaluator::run_journaled).
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "mc/evaluator.h"
 #include "util/metrics.h"
+#include "util/record_log.h"
 #include "util/status.h"
 
 namespace fav::mc {
@@ -97,7 +99,7 @@ struct MergedJournal {
 void serialize_record(const SampleRecord& record, std::string& out);
 /// Deserializes one record from `data` starting at `*offset`, advancing it.
 /// Returns false on malformed input (offset position is then unspecified).
-bool deserialize_record(const std::string& data, std::size_t* offset,
+bool deserialize_record(std::string_view data, std::size_t* offset,
                         SampleRecord* record);
 
 /// Field-wise identity of two fault samples, used by the resume cross-checks:
@@ -141,24 +143,21 @@ class JournalReader {
                                        const std::string& pattern);
 };
 
-/// Appends completed shards to `<dir>/campaign.fj`. Every append is flushed
-/// and fsynced before returning, so a completed shard survives SIGKILL.
-/// Durability requires fsyncing the *parent directory* too after the file is
-/// created or truncated — POSIX treats the name->inode link as directory
-/// data, so without it a crash right after open_fresh can lose the file
-/// itself even though its contents were fsynced.
+/// Appends completed shards to `<dir>/campaign.fj`. Every append is one
+/// record-log write plus an fsync before returning, so a completed shard
+/// survives SIGKILL; creating or truncating the file also fsyncs its
+/// directory (see util/record_log.h).
 class JournalWriter {
  public:
-  JournalWriter() = default;
-  ~JournalWriter();
-  JournalWriter(const JournalWriter&) = delete;
-  JournalWriter& operator=(const JournalWriter&) = delete;
-
   /// Optional observability (see util/metrics.h): fsync latencies
   /// ("journal.fsync_ns", "journal.dir_fsync_ns") and I/O counters
-  /// ("journal.commits", "journal.dir_fsyncs", "journal.bytes_written").
-  /// The sink must outlive the writer; the caller serializes access.
-  void set_metrics(MetricsSink* sink) { metrics_ = sink; }
+  /// ("journal.commits", "journal.dir_fsyncs", "journal.shards",
+  /// "journal.bytes_written"). The sink must outlive the writer; the caller
+  /// serializes access.
+  void set_metrics(MetricsSink* sink) {
+    metrics_ = sink;
+    log_.set_metrics(sink, "journal");
+  }
 
   /// Starts a new journal (truncating any existing one) and commits the
   /// header. Creates `dir` if needed. `file` selects the file name inside
@@ -180,11 +179,7 @@ class JournalWriter {
                       std::size_t count);
 
  private:
-  Status commit();
-  /// fsyncs the directory entry of `dir` (create/truncate durability).
-  Status sync_dir(const std::string& dir);
-
-  std::FILE* file_ = nullptr;
+  io::RecordLog log_;
   MetricsSink* metrics_ = nullptr;
 };
 

@@ -23,36 +23,33 @@ namespace fav::mc {
 
 namespace {
 
-// --- wire codec (same shape as the supervisor's) --------------------------
+using io::get_le;
+using io::get_string;
+using io::put_le;
+using io::put_string;
 
-template <typename T>
-void put(std::string& out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char bytes[sizeof(T)];
-  std::memcpy(bytes, &value, sizeof(T));
-  out.append(bytes, sizeof(T));
+// --- wire codec -----------------------------------------------------------
+
+/// Every wire message starts with its type byte.
+std::string typed_message(ServeWire type) {
+  return std::string(1, static_cast<char>(type));
 }
 
-template <typename T>
-bool get(std::string_view data, std::size_t* offset, T* value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (data.size() - *offset < sizeof(T)) return false;
-  std::memcpy(value, data.data() + *offset, sizeof(T));
-  *offset += sizeof(T);
-  return true;
+/// `u32 argc | argc × (u32 len | bytes)`: a request argv, shared by the
+/// REQUEST frame and the ledger's accepted record.
+void put_argv(std::string& out, const std::vector<std::string>& args) {
+  put_le(out, static_cast<std::uint32_t>(args.size()));
+  for (const std::string& a : args) put_string(out, a);
 }
 
-void put_string(std::string& out, std::string_view s) {
-  put(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s.data(), s.size());
-}
-
-bool get_string(std::string_view data, std::size_t* offset, std::string* s) {
-  std::uint32_t len = 0;
-  if (!get(data, offset, &len)) return false;
-  if (data.size() - *offset < len) return false;
-  s->assign(data.data() + *offset, len);
-  *offset += len;
+bool get_argv(std::string_view data, std::size_t* offset,
+              std::vector<std::string>* args) {
+  std::uint32_t argc = 0;
+  if (!get_le(data, offset, &argc) || argc > kMaxRequestArgs) return false;
+  args->resize(argc);
+  for (std::string& arg : *args) {
+    if (!get_string(data, offset, &arg, kMaxRequestArgBytes)) return false;
+  }
   return true;
 }
 
@@ -345,7 +342,7 @@ class CampaignMonitor {
 
 // --- ledger wire ----------------------------------------------------------
 
-constexpr char kLedgerMagic[8] = {'F', 'A', 'V', 'L', 'D', 'G', 'R', '1'};
+constexpr std::string_view kLedgerMagic = "FAVLDGR1";
 /// A ledger payload is a state byte, an id, and at most a request argv.
 constexpr std::uint32_t kMaxLedgerPayload =
     1u + 8u + 4u +
@@ -353,9 +350,34 @@ constexpr std::uint32_t kMaxLedgerPayload =
 
 std::string encode_ledger_payload(CampaignState state, std::uint64_t id) {
   std::string out;
-  io::put_le(out, static_cast<std::uint8_t>(state));
-  io::put_le(out, id);
+  put_le(out, static_cast<std::uint8_t>(state));
+  put_le(out, id);
   return out;
+}
+
+/// Decodes one ledger payload: `u8 state | u64 id` then the argv (accepted),
+/// nothing (running) or an `i32` exit code (finished).
+bool decode_ledger_payload(std::string_view payload,
+                           CampaignLedger::Entry* out) {
+  std::size_t off = 0;
+  std::uint8_t state = 0;
+  if (!get_le(payload, &off, &state) || !get_le(payload, &off, &out->id)) {
+    return false;
+  }
+  out->state = static_cast<CampaignState>(state);
+  switch (out->state) {
+    case CampaignState::kAccepted:
+      if (!get_argv(payload, &off, &out->args)) return false;
+      break;
+    case CampaignState::kRunning:
+      break;
+    case CampaignState::kFinished:
+      if (!get_le(payload, &off, &out->exit_code)) return false;
+      break;
+    default:
+      return false;
+  }
+  return off == payload.size();
 }
 
 /// Appends `--resume` to a recovered argv when its journal directory already
@@ -388,121 +410,97 @@ bool maybe_append_resume(std::vector<std::string>* args) {
 // --- codec ----------------------------------------------------------------
 
 std::string encode_serve_request(const std::vector<std::string>& args) {
-  std::string out;
-  put(out, static_cast<std::uint8_t>(ServeWire::kRequest));
-  put(out, static_cast<std::uint32_t>(args.size()));
-  for (const std::string& a : args) put_string(out, a);
+  std::string out = typed_message(ServeWire::kRequest);
+  put_argv(out, args);
   return out;
 }
 
 std::string encode_serve_accepted(std::uint64_t campaign_id) {
-  std::string out;
-  put(out, static_cast<std::uint8_t>(ServeWire::kAccepted));
-  put(out, campaign_id);
+  std::string out = typed_message(ServeWire::kAccepted);
+  put_le(out, campaign_id);
   return out;
 }
 
 std::string encode_serve_progress(std::uint64_t done, std::uint64_t total) {
-  std::string out;
-  put(out, static_cast<std::uint8_t>(ServeWire::kProgress));
-  put(out, done);
-  put(out, total);
+  std::string out = typed_message(ServeWire::kProgress);
+  put_le(out, done);
+  put_le(out, total);
   return out;
 }
 
 std::string encode_serve_stdout(std::string_view text) {
-  std::string out;
-  put(out, static_cast<std::uint8_t>(ServeWire::kStdout));
+  std::string out = typed_message(ServeWire::kStdout);
   put_string(out, text);
   return out;
 }
 
 std::string encode_serve_report(std::string_view json) {
-  std::string out;
-  put(out, static_cast<std::uint8_t>(ServeWire::kReport));
+  std::string out = typed_message(ServeWire::kReport);
   put_string(out, json);
   return out;
 }
 
 std::string encode_serve_finished(std::int32_t exit_code) {
-  std::string out;
-  put(out, static_cast<std::uint8_t>(ServeWire::kFinished));
-  put(out, exit_code);
+  std::string out = typed_message(ServeWire::kFinished);
+  put_le(out, exit_code);
   return out;
 }
 
 std::string encode_serve_error(std::string_view message,
                                std::int32_t exit_code) {
-  std::string out;
-  put(out, static_cast<std::uint8_t>(ServeWire::kError));
+  std::string out = typed_message(ServeWire::kError);
   put_string(out, message);
-  put(out, exit_code);
+  put_le(out, exit_code);
   return out;
 }
 
 std::string encode_serve_busy(std::uint64_t retry_after_ms) {
-  std::string out;
-  put(out, static_cast<std::uint8_t>(ServeWire::kBusy));
-  put(out, retry_after_ms);
+  std::string out = typed_message(ServeWire::kBusy);
+  put_le(out, retry_after_ms);
   return out;
 }
 
 std::string encode_serve_heartbeat(bool running) {
-  std::string out;
-  put(out, static_cast<std::uint8_t>(ServeWire::kHeartbeat));
-  put(out, static_cast<std::uint8_t>(running ? 1 : 0));
+  std::string out = typed_message(ServeWire::kHeartbeat);
+  put_le(out, static_cast<std::uint8_t>(running ? 1 : 0));
   return out;
 }
 
-std::string encode_serve_cancel() {
-  std::string out;
-  put(out, static_cast<std::uint8_t>(ServeWire::kCancel));
-  return out;
-}
+std::string encode_serve_cancel() { return typed_message(ServeWire::kCancel); }
 
 bool decode_serve_message(std::string_view payload, ServeMessage* out) {
   *out = ServeMessage{};
   std::size_t off = 0;
   std::uint8_t type = 0;
-  if (!get(payload, &off, &type)) return false;
+  if (!get_le(payload, &off, &type)) return false;
   if (type < static_cast<std::uint8_t>(ServeWire::kRequest) ||
       type > static_cast<std::uint8_t>(ServeWire::kCancel)) {
     return false;
   }
   out->type = static_cast<ServeWire>(type);
   switch (out->type) {
-    case ServeWire::kRequest: {
-      std::uint32_t argc = 0;
-      if (!get(payload, &off, &argc)) return false;
-      if (argc == 0 || argc > kMaxRequestArgs) return false;
-      out->args.reserve(argc);
-      for (std::uint32_t i = 0; i < argc; ++i) {
-        std::string arg;
-        if (!get_string(payload, &off, &arg)) return false;
-        if (arg.size() > kMaxRequestArgBytes) return false;
-        out->args.push_back(std::move(arg));
-      }
-      return off == payload.size();
-    }
+    case ServeWire::kRequest:
+      return get_argv(payload, &off, &out->args) && !out->args.empty() &&
+             off == payload.size();
     case ServeWire::kAccepted:
-      return get(payload, &off, &out->campaign_id) && off == payload.size();
+      return get_le(payload, &off, &out->campaign_id) && off == payload.size();
     case ServeWire::kProgress:
-      return get(payload, &off, &out->done) &&
-             get(payload, &off, &out->total) && off == payload.size();
+      return get_le(payload, &off, &out->done) &&
+             get_le(payload, &off, &out->total) && off == payload.size();
     case ServeWire::kStdout:
     case ServeWire::kReport:
       return get_string(payload, &off, &out->text) && off == payload.size();
     case ServeWire::kFinished:
-      return get(payload, &off, &out->exit_code) && off == payload.size();
+      return get_le(payload, &off, &out->exit_code) && off == payload.size();
     case ServeWire::kError:
       return get_string(payload, &off, &out->text) &&
-             get(payload, &off, &out->exit_code) && off == payload.size();
+             get_le(payload, &off, &out->exit_code) && off == payload.size();
     case ServeWire::kBusy:
-      return get(payload, &off, &out->retry_after_ms) &&
+      return get_le(payload, &off, &out->retry_after_ms) &&
              off == payload.size();
     case ServeWire::kHeartbeat: {
       std::uint8_t running = 0;
-      if (!get(payload, &off, &running)) return false;
+      if (!get_le(payload, &off, &running)) return false;
       if (running > 1) return false;
       out->running = running == 1;
       return off == payload.size();
@@ -515,182 +513,71 @@ bool decode_serve_message(std::string_view payload, ServeMessage* out) {
 
 // --- ledger ---------------------------------------------------------------
 
-CampaignLedger::~CampaignLedger() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-CampaignLedger::CampaignLedger(CampaignLedger&& other) noexcept {
-  *this = std::move(other);
-}
-
-CampaignLedger& CampaignLedger::operator=(CampaignLedger&& other) noexcept {
-  if (this != &other) {
-    if (file_ != nullptr) std::fclose(file_);
-    path_ = std::move(other.path_);
-    file_ = std::exchange(other.file_, nullptr);
-    entries_ = std::move(other.entries_);
-    next_id_ = other.next_id_;
-    discarded_bytes_ = other.discarded_bytes_;
-  }
-  return *this;
-}
-
 Result<CampaignLedger> CampaignLedger::open(const std::string& path) {
   CampaignLedger ledger;
-  ledger.path_ = path;
-  std::string content;
-  if (Result<std::string> read = io::read_file(path); read.is_ok()) {
-    content = std::move(read).value();
-  }
-  std::size_t valid_len = 0;
-  if (!content.empty()) {
-    if (content.size() < sizeof(kLedgerMagic) ||
-        std::memcmp(content.data(), kLedgerMagic, sizeof(kLedgerMagic)) != 0) {
-      return Status(ErrorCode::kJournalCorrupt,
-                    "not a campaign ledger (bad magic): " + path);
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec || size == 0) {
+    // Absent or empty: a new ledger (an unusable path fails in create).
+    if (Status s = ledger.log_.create(path, kLedgerMagic, {}); !s.is_ok()) {
+      return s;
     }
-    std::size_t off = sizeof(kLedgerMagic);
-    valid_len = off;
-    // Replay whole records; stop at the first torn or corrupt one and
-    // truncate it away — a SIGKILL mid-append must never brick the daemon.
-    for (;;) {
-      std::size_t record_off = off;
-      std::uint32_t len = 0;
-      if (!io::get_le(content, &record_off, &len)) break;
-      if (len == 0 || len > kMaxLedgerPayload) break;
-      if (content.size() - record_off < len + sizeof(std::uint32_t)) break;
-      const std::string_view payload(content.data() + record_off, len);
-      record_off += len;
-      std::uint32_t crc = 0;
-      (void)io::get_le(content, &record_off, &crc);
-      if (crc != io::crc32c(payload.data(), payload.size())) break;
-
-      // Decode into locals first: a malformed (but CRC-valid) record must
-      // truncate the tail without leaving a half-parsed entry behind.
-      std::size_t p = 0;
-      std::uint8_t state = 0;
-      std::uint64_t id = 0;
-      if (!get(payload, &p, &state) || !get(payload, &p, &id)) break;
-      bool ok = false;
-      std::vector<std::string> args;
-      std::int32_t exit_code = 0;
-      switch (static_cast<CampaignState>(state)) {
-        case CampaignState::kAccepted: {
-          std::uint32_t argc = 0;
-          if (!get(payload, &p, &argc) || argc > kMaxRequestArgs) break;
-          ok = true;
-          for (std::uint32_t i = 0; i < argc; ++i) {
-            std::string arg;
-            if (!get_string(payload, &p, &arg) ||
-                arg.size() > kMaxRequestArgBytes) {
-              ok = false;
-              break;
-            }
-            args.push_back(std::move(arg));
-          }
-          ok = ok && p == payload.size();
-          break;
+    return ledger;
+  }
+  // Replay whole records. A torn tail is cut away below — a SIGKILL
+  // mid-append must never brick the daemon — but mid-file damage fails the
+  // open and leaves the file as it is: truncating there would silently drop
+  // later campaigns and let their ids be reused.
+  const Result<io::RecordLog::ScanResult> scanned = io::RecordLog::scan(
+      path, kLedgerMagic, kMaxLedgerPayload, [&](std::string_view payload) {
+        Entry entry;
+        if (!decode_ledger_payload(payload, &entry)) {
+          return Status(ErrorCode::kJournalCorrupt,
+                        "malformed campaign ledger record in " + path);
         }
-        case CampaignState::kRunning:
-          ok = p == payload.size();
-          break;
-        case CampaignState::kFinished:
-          ok = get(payload, &p, &exit_code) && p == payload.size();
-          break;
-        default:
-          break;
-      }
-      if (!ok) break;
-      Entry& entry = ledger.entries_[id];
-      entry.id = id;
-      entry.state = static_cast<CampaignState>(state);
-      if (static_cast<CampaignState>(state) == CampaignState::kAccepted) {
-        entry.args = std::move(args);
-      } else if (static_cast<CampaignState>(state) ==
-                 CampaignState::kFinished) {
-        entry.exit_code = exit_code;
-      }
-      ledger.next_id_ = std::max(ledger.next_id_, id + 1);
-      off = record_off;
-      valid_len = off;
-    }
-    ledger.discarded_bytes_ = content.size() - valid_len;
-    if (ledger.discarded_bytes_ > 0 &&
-        ::truncate(path.c_str(), static_cast<off_t>(valid_len)) != 0) {
-      return io::status_from_errno(errno,
-                                   "truncate torn ledger tail of " + path);
-    }
-  }
-  ledger.file_ = std::fopen(path.c_str(), "ab");
-  if (ledger.file_ == nullptr) {
-    return io::status_from_errno(errno, "open campaign ledger " + path);
-  }
-  if (content.empty()) {
-    if (Status s = io::write_all(ledger.file_, kLedgerMagic,
-                                 sizeof(kLedgerMagic), "ledger magic");
-        !s.is_ok()) {
-      return s;
-    }
-    if (Status s = io::flush_and_fsync(ledger.file_, "ledger magic");
-        !s.is_ok()) {
-      return s;
-    }
-    const std::filesystem::path parent =
-        std::filesystem::path(path).parent_path();
-    (void)io::fsync_dir(parent.empty() ? "." : parent.string());
+        ledger.apply(std::move(entry));
+        return Status::ok();
+      });
+  if (!scanned.is_ok()) return scanned.status();
+  ledger.discarded_bytes_ =
+      scanned.value().file_bytes - scanned.value().valid_bytes;
+  if (Status s = ledger.log_.open_append(path, scanned.value().valid_bytes);
+      !s.is_ok()) {
+    return s;
   }
   return ledger;
 }
 
-Status CampaignLedger::append(std::string_view payload) {
-  if (file_ == nullptr) {
-    return Status(ErrorCode::kFailedPrecondition, "ledger is not open");
+void CampaignLedger::apply(Entry update) {
+  Entry& entry = entries_[update.id];
+  entry.id = update.id;
+  entry.state = update.state;
+  if (update.state == CampaignState::kAccepted) {
+    entry.args = std::move(update.args);
+  } else if (update.state == CampaignState::kFinished) {
+    entry.exit_code = update.exit_code;
   }
-  std::string record;
-  io::put_le(record, static_cast<std::uint32_t>(payload.size()));
-  record.append(payload.data(), payload.size());
-  io::put_le(record, io::crc32c(payload.data(), payload.size()));
-  if (Status s = io::write_all(file_, record.data(), record.size(),
-                               "campaign ledger " + path_);
-      !s.is_ok()) {
-    return s;
-  }
-  return io::flush_and_fsync(file_, "campaign ledger " + path_);
+  next_id_ = std::max(next_id_, update.id + 1);
 }
 
 Status CampaignLedger::accepted(std::uint64_t id,
                                 const std::vector<std::string>& args) {
   std::string payload = encode_ledger_payload(CampaignState::kAccepted, id);
-  io::put_le(payload, static_cast<std::uint32_t>(args.size()));
-  for (const std::string& a : args) {
-    io::put_le(payload, static_cast<std::uint32_t>(a.size()));
-    payload.append(a);
-  }
-  Entry& entry = entries_[id];
-  entry.id = id;
-  entry.state = CampaignState::kAccepted;
-  entry.args = args;
-  next_id_ = std::max(next_id_, id + 1);
-  return append(payload);
+  put_argv(payload, args);
+  apply({id, CampaignState::kAccepted, args, 0});
+  return log_.append(payload);
 }
 
 Status CampaignLedger::running(std::uint64_t id) {
-  Entry& entry = entries_[id];
-  entry.id = id;
-  entry.state = CampaignState::kRunning;
-  next_id_ = std::max(next_id_, id + 1);
-  return append(encode_ledger_payload(CampaignState::kRunning, id));
+  apply({id, CampaignState::kRunning, {}, 0});
+  return log_.append(encode_ledger_payload(CampaignState::kRunning, id));
 }
 
 Status CampaignLedger::finished(std::uint64_t id, std::int32_t exit_code) {
-  Entry& entry = entries_[id];
-  entry.id = id;
-  entry.state = CampaignState::kFinished;
-  entry.exit_code = exit_code;
-  next_id_ = std::max(next_id_, id + 1);
   std::string payload = encode_ledger_payload(CampaignState::kFinished, id);
-  io::put_le(payload, exit_code);
-  return append(payload);
+  put_le(payload, exit_code);
+  apply({id, CampaignState::kFinished, {}, exit_code});
+  return log_.append(payload);
 }
 
 std::vector<CampaignLedger::Entry> CampaignLedger::interrupted() const {

@@ -39,7 +39,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <list>
 #include <map>
@@ -50,6 +49,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/record_log.h"
 #include "util/status.h"
 
 namespace fav::mc {
@@ -142,12 +142,13 @@ enum class CampaignState : std::uint8_t {
   kFinished = 3,  // terminal: completed / failed / cancelled / deadline
 };
 
-/// Append-only, CRC-framed campaign ledger (DESIGN.md §6m). Each record is
-/// `u32 payload_len | payload | u32 crc32c(payload)` after an 8-byte magic;
-/// replay tolerates a torn tail (truncated back to the last whole record,
-/// like the journal) so a SIGKILL mid-append never bricks the daemon. A
-/// campaign that never reached kFinished is *interrupted* and is re-run on
-/// the next start.
+/// Append-only campaign ledger (DESIGN.md §6m) on the shared record log
+/// (util/record_log.h): magic "FAVLDGR1", then one `u32 payload_len |
+/// payload | u32 crc32c(payload)` record per lifecycle step. Replay drops a
+/// torn tail (truncated back to the last whole record, like the journal) so
+/// a SIGKILL mid-append never bricks the daemon; mid-file damage refuses the
+/// open and leaves the file untouched. A campaign that never reached
+/// kFinished is *interrupted* and is re-run on the next start.
 class CampaignLedger {
  public:
   struct Entry {
@@ -157,17 +158,12 @@ class CampaignLedger {
     std::int32_t exit_code = 0;  // meaningful once state == kFinished
   };
 
-  /// Opens `path` (creating it if absent) and replays every intact record.
-  /// A torn or corrupt tail is truncated away; a bad magic fails instead
-  /// (that file is not a ledger — refuse to append garbage to it).
+  /// Opens `path` (creating it if absent or empty, with its directory entry
+  /// fsynced) and replays every intact record. A torn tail is truncated
+  /// away; a bad magic (that file is not a ledger — refuse to append garbage
+  /// to it), a malformed record or mid-file damage fails with
+  /// kJournalCorrupt and leaves the file byte-identical.
   static Result<CampaignLedger> open(const std::string& path);
-
-  CampaignLedger() = default;
-  ~CampaignLedger();
-  CampaignLedger(CampaignLedger&& other) noexcept;
-  CampaignLedger& operator=(CampaignLedger&& other) noexcept;
-  CampaignLedger(const CampaignLedger&) = delete;
-  CampaignLedger& operator=(const CampaignLedger&) = delete;
 
   /// Lifecycle appends; each record is fsynced before returning so the
   /// ledger never claims less than what actually happened.
@@ -180,15 +176,14 @@ class CampaignLedger {
   /// One past the largest id ever recorded — campaign ids stay unique
   /// across daemon restarts.
   std::uint64_t next_campaign_id() const { return next_id_; }
-  /// Bytes of torn/corrupt tail discarded by open(), for the caller's log.
+  /// Bytes of torn tail discarded by open(), for the caller's log.
   std::uint64_t discarded_bytes() const { return discarded_bytes_; }
-  const std::string& path() const { return path_; }
 
  private:
-  Status append(std::string_view payload);
+  /// Folds one lifecycle step into the in-memory view.
+  void apply(Entry update);
 
-  std::string path_;
-  std::FILE* file_ = nullptr;
+  io::RecordLog log_;
   std::map<std::uint64_t, Entry> entries_;
   std::uint64_t next_id_ = 1;
   std::uint64_t discarded_bytes_ = 0;

@@ -11,75 +11,53 @@
 #include <filesystem>
 
 #include "mc/journal.h"
+#include "util/io.h"
 #include "util/subprocess.h"
 
 namespace fav::mc {
 
+using io::get_le;
+using io::put_le;
+
 namespace {
 
-// --- wire codec -----------------------------------------------------------
-
-template <typename T>
-void put(std::string& out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char bytes[sizeof(T)];
-  std::memcpy(bytes, &value, sizeof(T));
-  out.append(bytes, sizeof(T));
-}
-
-template <typename T>
-bool get(std::string_view data, std::size_t* offset, T* value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (data.size() - *offset < sizeof(T)) return false;
-  std::memcpy(value, data.data() + *offset, sizeof(T));
-  *offset += sizeof(T);
-  return true;
+/// Every wire message starts with its type byte.
+std::string typed_message(WireType type) {
+  return std::string(1, static_cast<char>(type));
 }
 
 }  // namespace
 
-std::string encode_ready() {
-  std::string out;
-  put(out, static_cast<std::uint8_t>(WireType::kReady));
-  return out;
-}
+std::string encode_ready() { return typed_message(WireType::kReady); }
 
 std::string encode_assign(std::uint64_t lo, std::uint64_t hi) {
-  std::string out;
-  put(out, static_cast<std::uint8_t>(WireType::kAssign));
-  put(out, lo);
-  put(out, hi);
+  std::string out = typed_message(WireType::kAssign);
+  put_le(out, lo);
+  put_le(out, hi);
   return out;
 }
 
 std::string encode_progress(std::uint64_t index, double contribution,
                             double weight, bool failed) {
-  std::string out;
-  put(out, static_cast<std::uint8_t>(WireType::kProgress));
-  put(out, index);
-  put(out, contribution);
-  put(out, weight);
-  put(out, static_cast<std::uint8_t>(failed ? 1 : 0));
+  std::string out = typed_message(WireType::kProgress);
+  put_le(out, index);
+  put_le(out, contribution);
+  put_le(out, weight);
+  put_le(out, static_cast<std::uint8_t>(failed ? 1 : 0));
   return out;
 }
 
 std::string encode_done(std::uint64_t lo, std::uint64_t hi) {
-  std::string out;
-  put(out, static_cast<std::uint8_t>(WireType::kDone));
-  put(out, lo);
-  put(out, hi);
+  std::string out = typed_message(WireType::kDone);
+  put_le(out, lo);
+  put_le(out, hi);
   return out;
 }
 
-std::string encode_shutdown() {
-  std::string out;
-  put(out, static_cast<std::uint8_t>(WireType::kShutdown));
-  return out;
-}
+std::string encode_shutdown() { return typed_message(WireType::kShutdown); }
 
 std::string encode_metrics(const MetricsSink& sink) {
-  std::string out;
-  put(out, static_cast<std::uint8_t>(WireType::kMetrics));
+  std::string out = typed_message(WireType::kMetrics);
   sink.serialize(out);
   return out;
 }
@@ -87,7 +65,7 @@ std::string encode_metrics(const MetricsSink& sink) {
 bool decode_message(std::string_view payload, WireMessage* out) {
   std::size_t off = 0;
   std::uint8_t type = 0;
-  if (!get(payload, &off, &type)) return false;
+  if (!get_le(payload, &off, &type)) return false;
   if (type < static_cast<std::uint8_t>(WireType::kReady) ||
       type > static_cast<std::uint8_t>(WireType::kMetrics)) {
     return false;
@@ -99,14 +77,14 @@ bool decode_message(std::string_view payload, WireMessage* out) {
       return off == payload.size();
     case WireType::kAssign:
     case WireType::kDone:
-      return get(payload, &off, &out->lo) && get(payload, &off, &out->hi) &&
-             off == payload.size();
+      return get_le(payload, &off, &out->lo) &&
+             get_le(payload, &off, &out->hi) && off == payload.size();
     case WireType::kProgress: {
       std::uint8_t failed = 0;
-      if (!get(payload, &off, &out->index) ||
-          !get(payload, &off, &out->contribution) ||
-          !get(payload, &off, &out->weight) ||
-          !get(payload, &off, &failed) || off != payload.size()) {
+      if (!get_le(payload, &off, &out->index) ||
+          !get_le(payload, &off, &out->contribution) ||
+          !get_le(payload, &off, &out->weight) ||
+          !get_le(payload, &off, &failed) || off != payload.size()) {
         return false;
       }
       out->failed = failed != 0;

@@ -5,8 +5,9 @@
 // the dominant cold-start cost of a campaign and is identical for every
 // process evaluating the same configuration (every supervised worker, every
 // resume, every parallel campaign). This module serializes that bundle to a
-// content-addressed on-disk artifact with the same integrity discipline as
-// the FAVJRNL2 journal:
+// content-addressed on-disk artifact, CRC32C-checked like the record log
+// behind the journal (util/record_log.h) but published atomically as one
+// whole file, with its version gate checked before any checksum:
 //
 //   magic "FAVPCA1\0" | u32 version | u64 fingerprint | u32 section_count
 //                     | u32 header CRC32C

@@ -58,26 +58,46 @@ int chaos_next_fsync_error() {
 
 // --- CRC32C ---------------------------------------------------------------
 
-std::array<std::uint32_t, 256> make_crc32c_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 tables: kCrc32cTables[0] is the classic byte-at-a-time table;
+// kCrc32cTables[k][b] is the CRC of byte b followed by k zero bytes, so one
+// lookup per input byte folds eight bytes in one step.
+using Crc32cTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr Crc32cTables make_crc32c_tables() {
+  Crc32cTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int k = 0; k < 8; ++k) {
       crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (std::size_t t = 1; t < tables.size(); ++t) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[t - 1][i];
+      tables[t][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
 }
+
+constexpr Crc32cTables kCrc32cTables = make_crc32c_tables();
 
 }  // namespace
 
 std::uint32_t crc32c(const void* data, std::size_t len, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = make_crc32c_table();
+  const auto& t = kCrc32cTables;
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t crc = ~seed;
-  for (std::size_t i = 0; i < len; ++i) {
-    crc = (crc >> 8) ^ table[(crc ^ p[i]) & 0xFFu];
+  for (; len >= 8; p += 8, len -= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    word ^= crc;  // little-endian load: the low four bytes absorb the CRC
+    crc = 0;
+    for (int k = 0; k < 8; ++k) crc ^= t[7 - k][(word >> (8 * k)) & 0xFFu];
+  }
+  for (; len > 0; ++p, --len) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xFFu];
   }
   return ~crc;
 }
@@ -92,8 +112,13 @@ std::uint64_t fnv1a64(const void* data, std::size_t len, std::uint64_t seed) {
   return h;
 }
 
-bool get_string(const std::string& data, std::size_t* offset,
-                std::string* value, std::uint32_t max_len) {
+void put_string(std::string& out, std::string_view value) {
+  put_le(out, static_cast<std::uint32_t>(value.size()));
+  out.append(value);
+}
+
+bool get_string(std::string_view data, std::size_t* offset, std::string* value,
+                std::uint32_t max_len) {
   std::uint32_t len = 0;
   if (!get_le(data, offset, &len)) return false;
   if (len > max_len || data.size() - *offset < len) return false;
@@ -102,7 +127,7 @@ bool get_string(const std::string& data, std::size_t* offset,
   return true;
 }
 
-std::string json_escape(const std::string& s) {
+std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (const char c : s) {

@@ -1,10 +1,12 @@
-// Hardened file I/O primitives shared by the journal, the run-report writer
-// and the pre-characterization artifact cache.
+// Hardened file I/O primitives shared by the record log (util/record_log.h),
+// the run-report writer and the pre-characterization artifact cache.
 //
 // Everything that makes campaign state durable funnels through this layer so
 // there is exactly one implementation of each discipline:
-//  * checksums            — CRC32C (artifact sections) and FNV-1a64 (journal
-//                           header/frames, campaign fingerprints),
+//  * checksums            — CRC32C (record-log records, artifact sections)
+//                           and FNV-1a64 (campaign fingerprints),
+//  * byte codec           — little-endian put/get over string buffers, the
+//                           one codec every persisted and wire format uses,
 //  * retrying writes      — short writes and transient EINTR/EAGAIN get a
 //                           bounded exponential-backoff retry; persistent
 //                           failures surface as a classified Status
@@ -27,6 +29,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <type_traits>
 
 #include "util/status.h"
@@ -36,16 +39,17 @@ namespace fav::io {
 // ---------------------------------------------------------------------------
 // Checksums.
 
-/// CRC32C (Castagnoli, reflected poly 0x82F63B78), software table-driven.
+/// CRC32C (Castagnoli, reflected poly 0x82F63B78), software slicing-by-8
+/// (eight bytes per step, any alignment and length).
 /// Chaining: crc32c(b, n_b, crc32c(a, n_a)) == crc32c(a||b, n_a + n_b).
 std::uint32_t crc32c(const void* data, std::size_t len, std::uint32_t seed = 0);
 
-/// FNV-1a 64-bit, seedable for chaining (the FAVJRNL2 frame discipline).
+/// FNV-1a 64-bit, seedable for chaining (campaign fingerprints).
 std::uint64_t fnv1a64(const void* data, std::size_t len,
                       std::uint64_t seed = 0xCBF29CE484222325ull);
 
 // ---------------------------------------------------------------------------
-// Little-endian primitive (de)serialization over std::string buffers.
+// Little-endian primitive (de)serialization over string buffers.
 
 template <typename T>
 void put_le(std::string& out, T value) {
@@ -56,7 +60,7 @@ void put_le(std::string& out, T value) {
 }
 
 template <typename T>
-bool get_le(const std::string& data, std::size_t* offset, T* value) {
+bool get_le(std::string_view data, std::size_t* offset, T* value) {
   static_assert(std::is_trivially_copyable_v<T>);
   if (data.size() < *offset || data.size() - *offset < sizeof(T)) return false;
   std::memcpy(value, data.data() + *offset, sizeof(T));
@@ -64,9 +68,12 @@ bool get_le(const std::string& data, std::size_t* offset, T* value) {
   return true;
 }
 
-/// u32 length prefix + raw bytes; rejects lengths above `max_len`.
-bool get_string(const std::string& data, std::size_t* offset,
-                std::string* value, std::uint32_t max_len);
+/// u32 length prefix + raw bytes.
+void put_string(std::string& out, std::string_view value);
+
+/// Reads a put_string field; rejects lengths above `max_len`.
+bool get_string(std::string_view data, std::size_t* offset, std::string* value,
+                std::uint32_t max_len = UINT32_MAX);
 
 // ---------------------------------------------------------------------------
 // JSON string escaping.
@@ -76,7 +83,7 @@ bool get_string(const std::string& data, std::size_t* offset,
 /// daemon's stats snapshot) goes through this — field values like the
 /// benchmark name or a socket path are caller-controlled free-form input
 /// once campaigns arrive over a socket.
-std::string json_escape(const std::string& s);
+std::string json_escape(std::string_view s);
 
 // ---------------------------------------------------------------------------
 // Deterministic fault injection (test hook).

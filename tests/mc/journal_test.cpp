@@ -15,6 +15,7 @@
 
 #include "mc/evaluator.h"
 #include "soc/benchmark.h"
+#include "util/io.h"
 
 namespace fav::mc {
 namespace {
@@ -316,6 +317,27 @@ TEST(JournalReader, CorruptHeaderIsDetected) {
   const char x = 'X';
   f.write(&x, 1);
   f.close();
+  const Result<JournalContents> read = read_journal(dir);
+  ASSERT_FALSE(read.is_ok());
+  EXPECT_EQ(read.status().code(), ErrorCode::kJournalCorrupt);
+}
+
+TEST(JournalReader, Favjrnl2JournalIsRejectedAsCorrupt) {
+  // FAVJRNL2 (FNV-1a 'MARF' frames) predates the shared record log; such a
+  // journal cannot be resumed and must be refused, not misparsed.
+  const std::string dir = fresh_dir("favjrnl2");
+  std::string meta;
+  io::put_le(meta, std::uint64_t{5});  // fingerprint
+  io::put_le(meta, std::uint64_t{2});  // total samples
+  io::put_string(meta, "write/importance");
+  std::string bytes = "FAVJRNL2";
+  io::put_le(bytes, static_cast<std::uint32_t>(meta.size()));
+  bytes += meta;
+  io::put_le(bytes, io::fnv1a64(meta.data(), meta.size()));
+  {
+    std::ofstream f(journal_file(dir), std::ios::binary);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
   const Result<JournalContents> read = read_journal(dir);
   ASSERT_FALSE(read.is_ok());
   EXPECT_EQ(read.status().code(), ErrorCode::kJournalCorrupt);

@@ -19,12 +19,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "util/io.h"
 #include "util/subprocess.h"
 
 namespace fav::mc {
@@ -804,6 +806,102 @@ TEST(CampaignLedger, RefusesANonLedgerFile) {
   Result<CampaignLedger> lg = CampaignLedger::open(path);
   ASSERT_FALSE(lg.is_ok());
   EXPECT_EQ(lg.status().code(), ErrorCode::kJournalCorrupt);
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(f), {});
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(CampaignLedger, MidFileCorruptionIsRefusedNotTruncated) {
+  // Regression: open() truncated every record after the first bad one, so
+  // damage in the middle silently dropped later accepted campaigns (never
+  // recovered) and let next_campaign_id() hand their ids out again.
+  const std::string path = fresh_ledger_path("midfile");
+  {
+    Result<CampaignLedger> lg = CampaignLedger::open(path);
+    ASSERT_TRUE(lg.is_ok());
+    ASSERT_TRUE(lg.value().accepted(1, {"evaluate"}).is_ok());
+    ASSERT_TRUE(lg.value().accepted(2, {"evaluate", "--seed", "2"}).is_ok());
+    ASSERT_TRUE(lg.value().running(2).is_ok());
+    ASSERT_TRUE(lg.value().accepted(3, {"evaluate", "--seed", "3"}).is_ok());
+  }
+  std::string bytes = read_bytes(path);
+  // Record 1 (of 0..3) starts after the magic and record 0
+  // (`u32 len | payload | u32 crc`); flip the first byte of its payload.
+  std::uint32_t len0 = 0;
+  std::memcpy(&len0, bytes.data() + 8, sizeof(len0));
+  const std::size_t record1 = 8 + 4 + len0 + 4;
+  ASSERT_LT(record1 + 4, bytes.size());
+  bytes[record1 + 4] = static_cast<char>(bytes[record1 + 4] ^ 0x01);
+  write_bytes(path, bytes);
+
+  Result<CampaignLedger> lg = CampaignLedger::open(path);
+  ASSERT_FALSE(lg.is_ok()) << "mid-file damage must not be truncated away";
+  EXPECT_EQ(lg.status().code(), ErrorCode::kJournalCorrupt);
+  EXPECT_EQ(read_bytes(path), bytes)
+      << "a refused open must not touch the file";
+}
+
+TEST(CampaignLedger, CreationFsyncFailureIsStorageFull) {
+  // Regression: creating a ledger ignored the parent-directory fsync, so a
+  // crash right after open() could lose the file while the daemon believed
+  // its admissions were durable. Fsync 1 is the magic, fsync 2 the
+  // directory entry.
+  const std::string path = fresh_ledger_path("dirsync");
+  io::chaos_install(io::ChaosFile{.fail_fsync_at = 2});
+  Result<CampaignLedger> lg = CampaignLedger::open(path);
+  io::chaos_reset();
+  ASSERT_FALSE(lg.is_ok());
+  EXPECT_EQ(lg.status().code(), ErrorCode::kStorageFull);
+}
+
+TEST(CampaignLedger, HandBuiltRecordsReplay) {
+  // The FAVLDGR1 bytes are a stable format: records written by earlier
+  // builds must replay to the same entries.
+  auto record = [](const std::string& payload) {
+    std::string out;
+    io::put_le(out, static_cast<std::uint32_t>(payload.size()));
+    out += payload;
+    io::put_le(out, io::crc32c(payload.data(), payload.size()));
+    return out;
+  };
+  auto head = [](std::uint8_t state, std::uint64_t id) {
+    std::string out;
+    io::put_le(out, state);
+    io::put_le(out, id);
+    return out;
+  };
+  std::string accepted5 = head(1, 5);
+  io::put_le(accepted5, std::uint32_t{2});
+  io::put_le(accepted5, std::uint32_t{8});
+  accepted5 += "evaluate";
+  io::put_le(accepted5, std::uint32_t{6});
+  accepted5 += "--fast";
+  std::string accepted7 = head(1, 7);
+  io::put_le(accepted7, std::uint32_t{0});
+  std::string finished7 = head(3, 7);
+  io::put_le(finished7, std::int32_t{-2});
+  const std::string path = fresh_ledger_path("handbuilt");
+  write_bytes(path, "FAVLDGR1" + record(accepted5) + record(accepted7) +
+                        record(head(2, 5)) + record(finished7));
+
+  Result<CampaignLedger> lg = CampaignLedger::open(path);
+  ASSERT_TRUE(lg.is_ok()) << lg.status().to_string();
+  EXPECT_EQ(lg.value().discarded_bytes(), 0u);
+  EXPECT_EQ(lg.value().next_campaign_id(), 8u);
+  const std::vector<CampaignLedger::Entry> open_entries =
+      lg.value().interrupted();
+  ASSERT_EQ(open_entries.size(), 1u);
+  EXPECT_EQ(open_entries[0].id, 5u);
+  EXPECT_EQ(open_entries[0].state, CampaignState::kRunning);
+  EXPECT_EQ(open_entries[0].args,
+            (std::vector<std::string>{"evaluate", "--fast"}));
 }
 
 TEST(CampaignServer, RecoversInterruptedCampaignsFromLedger) {

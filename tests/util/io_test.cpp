@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -37,15 +38,40 @@ class IoTest : public ::testing::Test {
   fs::path dir_;
 };
 
-// RFC 3720 test vectors for CRC32C (Castagnoli).
+/// Bit-at-a-time CRC32C: the definition the sliced implementation must match.
+std::uint32_t crc32c_bitwise(const std::string& data, std::uint32_t seed = 0) {
+  std::uint32_t crc = ~seed;
+  for (const char c : data) {
+    crc ^= static_cast<unsigned char>(c);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+/// CRC of `data` copied to `misalign` bytes past an 8-byte boundary.
+std::uint32_t crc32c_at(const std::string& data, std::size_t misalign) {
+  alignas(8) char buf[128] = {};
+  std::memcpy(buf + misalign, data.data(), data.size());
+  return crc32c(buf + misalign, data.size());
+}
+
+// RFC 3720 test vectors for CRC32C (Castagnoli), plus the 9-byte check
+// value, at every alignment.
 TEST_F(IoTest, Crc32cKnownVectors) {
   const std::string zeros(32, '\0');
-  EXPECT_EQ(crc32c(zeros.data(), zeros.size()), 0x8A9136AAu);
   const std::string ones(32, '\xff');
-  EXPECT_EQ(crc32c(ones.data(), ones.size()), 0x62A8AB43u);
   std::string ascending(32, '\0');
   for (int i = 0; i < 32; ++i) ascending[i] = static_cast<char>(i);
-  EXPECT_EQ(crc32c(ascending.data(), ascending.size()), 0x46DD794Eu);
+  const std::string check = "123456789";
+  for (std::size_t misalign = 0; misalign < 8; ++misalign) {
+    SCOPED_TRACE("misalign " + std::to_string(misalign));
+    EXPECT_EQ(crc32c_at(zeros, misalign), 0x8A9136AAu);
+    EXPECT_EQ(crc32c_at(ones, misalign), 0x62A8AB43u);
+    EXPECT_EQ(crc32c_at(ascending, misalign), 0x46DD794Eu);
+    EXPECT_EQ(crc32c_at(check, misalign), 0xE3069283u);
+  }
 }
 
 TEST_F(IoTest, Crc32cChains) {
@@ -55,6 +81,22 @@ TEST_F(IoTest, Crc32cChains) {
     const std::uint32_t whole =
         crc32c(data.data() + split, data.size() - split, head);
     EXPECT_EQ(whole, crc32c(data.data(), data.size())) << "split " << split;
+  }
+  // Every odd length and unaligned start of a longer buffer, seeded and
+  // unseeded, against the bitwise definition.
+  std::string bytes(203, '\0');
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>((i * 167 + 13) & 0xFF);
+  }
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 1; start + len <= bytes.size(); len += 2) {
+      const std::string piece = bytes.substr(start, len);
+      ASSERT_EQ(crc32c(bytes.data() + start, len), crc32c_bitwise(piece))
+          << "start " << start << " len " << len;
+      ASSERT_EQ(crc32c(bytes.data() + start, len, 0xDEADBEEFu),
+                crc32c_bitwise(piece, 0xDEADBEEFu))
+          << "seeded, start " << start << " len " << len;
+    }
   }
 }
 
