@@ -409,6 +409,25 @@ void BM_SignatureRecording(benchmark::State& state) {
 }
 BENCHMARK(BM_SignatureRecording);
 
+// Register characterization (pre-characterization step 3) over every flat
+// bit with the framework's default config and synthetic golden run, on
+// Arg(0) worker threads: the dominant cost of a cold framework build.
+void BM_RegisterCharacterization(benchmark::State& state) {
+  static const rtl::Program workload = soc::make_synthetic_workload();
+  static const rtl::GoldenRun golden(workload, 400, 32);
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    precharac::RegisterCharacterization charac(golden, {}, {}, threads);
+    benchmark::DoNotOptimize(charac.raw_bits().data());
+  }
+}
+BENCHMARK(BM_RegisterCharacterization)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 // Full framework elaboration, cold vs warm, through the persistent
 // pre-characterization artifact cache (precharac/artifact.h). Arg(0) removes
 // the artifact before every construction so each iteration recomputes and

@@ -270,7 +270,8 @@ void FaultAttackEvaluator::compute_precharac() {
   {
     ScopeTimer timer(&metrics_, "precharac.characterization_ns");
     charac_ = std::make_unique<precharac::RegisterCharacterization>(
-        *synthetic_golden_, config_.characterization);
+        *synthetic_golden_, config_.characterization, std::vector<int>{},
+        config_.evaluator.threads);
   }
 }
 

@@ -450,16 +450,13 @@ void SsfEvaluator::merge_observers(WorkerObservers&& observers) const {
 }
 
 void SsfEvaluator::complete_sample(const SampleRecord& rec, std::size_t index,
-                                   std::uint32_t worker, std::uint64_t t0,
-                                   MetricsSink* sink,
+                                   std::uint32_t worker, std::uint64_t start,
+                                   std::uint64_t dur, MetricsSink* sink,
                                    TraceBuffer* trace_buf) const {
-  if (sink != nullptr || trace_buf != nullptr) {
-    const std::uint64_t dur = monotonic_ns() - t0;
-    if (sink != nullptr) sink->add_timer_ns(path_timer_name(rec.path), dur);
-    if (trace_buf != nullptr) {
-      trace_buf->record(outcome_path_name(rec.path), "sample", t0, dur, worker,
-                        index);
-    }
+  if (sink != nullptr) sink->add_timer_ns(path_timer_name(rec.path), dur);
+  if (trace_buf != nullptr) {
+    trace_buf->record(outcome_path_name(rec.path), "sample", start, dur,
+                      worker, index);
   }
   if (config_.progress != nullptr) {
     const bool failed = rec.path == OutcomePath::kFailed;
@@ -529,7 +526,8 @@ std::size_t SsfEvaluator::evaluate_wave(
       const bool timing = sink != nullptr || trace_buf != nullptr;
       const std::uint64_t t0 = timing ? monotonic_ns() : 0;
       records[i] = evaluate_sample_isolated(samples[i], scratch[worker], sink);
-      complete_sample(records[i], base + i, w, t0, sink, trace_buf);
+      complete_sample(records[i], base + i, w, t0,
+                      timing ? monotonic_ns() - t0 : 0, sink, trace_buf);
     };
     for (std::size_t u = b; u < e; ++u) {
       if (config_.stop != nullptr &&
@@ -619,10 +617,17 @@ void SsfEvaluator::evaluate_group(
     sink->add_counter("eval.batch_restore_saved", unit.size() - 1);
   }
 
+  // Each lane is charged an equal share of the shared phase plus its own
+  // finalization, and its trace span starts where the previous lane's ended:
+  // the spans tile [t0, now) without overlap and the per-sample timers sum
+  // to at most the group's wall time.
+  std::uint64_t share = timing ? (monotonic_ns() - t0) / unit.size() : 0;
+  std::uint64_t cursor = t0;
   const RegisterMap& map = Machine::reg_map();
   for (std::size_t l = 0; l < unit.size(); ++l) {
     const std::size_t i = unit[l];
     const faultsim::FaultSample& s = samples[i];
+    const std::uint64_t lane_t0 = timing ? monotonic_ns() : 0;
     SampleRecord rec;
     bool done = false;
     try {
@@ -672,11 +677,18 @@ void SsfEvaluator::evaluate_group(
     if (!done) {
       // Retryable failure (deadline, check failure, ...): the scalar replay
       // owns the full isolation protocol, including the fresh-scratch retry.
+      // It times itself from now, so later lanes start after it and forgo
+      // their share of the shared phase.
       scalar_eval(worker, i);
+      share = 0;
+      cursor = timing ? monotonic_ns() : 0;
       continue;
     }
     records[i] = std::move(rec);
-    complete_sample(records[i], base + i, worker, t0, sink, trace_buf);
+    const std::uint64_t dur = timing ? share + (monotonic_ns() - lane_t0) : 0;
+    complete_sample(records[i], base + i, worker, cursor, dur, sink,
+                    trace_buf);
+    cursor += dur;
   }
 }
 

@@ -472,11 +472,12 @@ class SsfEvaluator {
       std::unique_ptr<EvalScratch>& scratch, MetricsSink* sink,
       TraceBuffer* trace_buf, std::uint32_t worker,
       const std::function<void(std::size_t, std::size_t)>& scalar_eval) const;
-  /// Per-sample completion: path timer and trace event (measured from t0),
-  /// progress tick and on_sample callback.
+  /// Per-sample completion: path timer and trace event (the span
+  /// [start, start + dur)), progress tick and on_sample callback.
   void complete_sample(const SampleRecord& rec, std::size_t index,
-                       std::uint32_t worker, std::uint64_t t0,
-                       MetricsSink* sink, TraceBuffer* trace_buf) const;
+                       std::uint32_t worker, std::uint64_t start,
+                       std::uint64_t dur, MetricsSink* sink,
+                       TraceBuffer* trace_buf) const;
   WorkerObservers make_observers(std::size_t workers) const;
   /// Folds the per-worker sinks/traces into config_.metrics/config_.trace
   /// in worker-index order, then refreshes the eval.lane_occupancy gauge.

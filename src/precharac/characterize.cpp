@@ -1,9 +1,11 @@
 #include "precharac/characterize.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <bit>
+#include <memory>
 
 #include "util/check.h"
+#include "util/parallel.h"
 
 namespace fav::precharac {
 
@@ -22,62 +24,111 @@ RegisterCharacterization::RegisterCharacterization(
 
 RegisterCharacterization::RegisterCharacterization(
     const rtl::GoldenRun& golden, const CharacterizationConfig& config,
-    std::vector<int> bits)
+    std::vector<int> bits, std::size_t threads)
     : config_(config) {
   FAV_ENSURE(config.horizon > 0);
   FAV_ENSURE(config.stride > 0);
   const RegisterMap& map = Machine::reg_map();
-  bits_.resize(static_cast<std::size_t>(map.total_bits()));
-  done_.assign(static_cast<std::size_t>(map.total_bits()), 0);
+  const auto total = static_cast<std::size_t>(map.total_bits());
+  bits_.resize(total);
+  done_.assign(total, 0);
 
   if (bits.empty()) {
-    bits.resize(static_cast<std::size_t>(map.total_bits()));
-    for (int i = 0; i < map.total_bits(); ++i) {
-      bits[static_cast<std::size_t>(i)] = i;
-    }
+    bits.resize(total);
+    for (std::size_t i = 0; i < total; ++i) bits[i] = static_cast<int>(i);
   }
-
-  const std::uint64_t length = golden.length();
+  // Every bit owns its output slot, so a duplicate would accumulate twice
+  // (and race once the loop is parallel).
   for (const int flat : bits) {
     FAV_ENSURE_MSG(flat >= 0 && flat < map.total_bits(),
                   "flat bit " << flat << " out of range");
-    auto& bc = bits_[static_cast<std::size_t>(flat)];
-    const int origin_field = map.locate(flat).first;
+    auto& seen = done_[static_cast<std::size_t>(flat)];
+    FAV_ENSURE_MSG(seen == 0, "flat bit " << flat << " listed twice");
+    seen = 1;
+  }
 
-    for (std::uint64_t c = config.first_cycle; c < length;
-         c += config.stride) {
-      Machine m = golden.restore(c);
-      map.flip_bit(m.mutable_state(), flat);
+  // Golden field values, masked to each field's width, for cycles
+  // 0..length. pack() is injective over masked field values, so a faulty
+  // state equals golden exactly when every masked field does — the packed
+  // BitVector compare becomes a compare of ~30 words, and the set of
+  // diverging fields fits in one u64 mask.
+  const std::size_t nfields = map.fields().size();
+  FAV_ENSURE_MSG(nfields <= 64, "contamination mask holds at most 64 fields");
+  std::vector<std::uint32_t> masks(nfields);
+  for (std::size_t f = 0; f < nfields; ++f) {
+    const int width = map.fields()[f].width;
+    masks[f] = width >= 32 ? ~0u : (1u << width) - 1u;
+  }
+  const std::uint64_t length = golden.length();
+  std::vector<std::uint32_t> gold(static_cast<std::size_t>(length + 1) *
+                                  nfields);
+  for (std::uint64_t c = 0; c <= length; ++c) {
+    std::uint32_t* g = &gold[c * nfields];
+    map.get_fields(golden.state_at(c), g);
+    for (std::size_t f = 0; f < nfields; ++f) g[f] &= masks[f];
+  }
+  // Mask of the fields of `s` that differ from golden at `cycle`; `now` is
+  // the caller's nfields-slot scratch.
+  auto diverging = [&](const rtl::ArchState& s, std::uint64_t cycle,
+                       std::uint32_t* now) {
+    map.get_fields(s, now);
+    const std::uint32_t* g = &gold[cycle * nfields];
+    std::uint64_t diff = 0;
+    for (std::size_t f = 0; f < nfields; ++f) {
+      diff |= std::uint64_t{(now[f] & masks[f]) != g[f]} << f;
+    }
+    return diff;
+  };
 
-      double lifetime = static_cast<double>(config.horizon);
-      std::unordered_set<int> contaminated;
-      for (std::uint64_t k = 0; k < config.horizon; ++k) {
-        const std::uint64_t gold_cycle = std::min(c + k, length);
-        const BitVector faulty = map.pack(m.state());
-        const BitVector diff = faulty ^ golden.state_bits_at(gold_cycle);
-        if (diff.none()) {
-          lifetime = static_cast<double>(k);
-          break;
+  // Bits are independent: each worker repositions its own machine (no
+  // per-injection allocation) and writes only the slots of its bits. A
+  // bit's injections accumulate in cycle order on one thread, so the
+  // doubles are bitwise-identical at every thread count. grain = 1 because
+  // memory-type bits run the full horizon while the rest converge early.
+  std::vector<std::unique_ptr<Machine>> machines(
+      resolve_thread_count(threads));
+  auto characterize = [&](std::size_t worker, std::size_t b, std::size_t e) {
+    auto& m = machines[worker];
+    if (!m) m = std::make_unique<Machine>(golden.program());
+    std::vector<std::uint32_t> now(nfields);
+    for (std::size_t j = b; j < e; ++j) {
+      const int flat = bits[j];
+      auto& bc = bits_[static_cast<std::size_t>(flat)];
+      const std::uint64_t others =
+          ~(std::uint64_t{1} << map.locate(flat).first);
+
+      for (std::uint64_t c = config.first_cycle; c < length;
+           c += config.stride) {
+        golden.restore_into(*m, c);
+        map.flip_bit(m->mutable_state(), flat);
+
+        double lifetime = static_cast<double>(config.horizon);
+        std::uint64_t contaminated = 0;
+        for (std::uint64_t k = 0; k < config.horizon; ++k) {
+          const std::uint64_t diff =
+              diverging(m->state(), std::min(c + k, length), now.data());
+          if (diff == 0) {
+            lifetime = static_cast<double>(k);
+            break;
+          }
+          contaminated |= diff & others;
+          m->step();
         }
-        for (const std::size_t dbit : diff.set_bits()) {
-          const int f = map.locate(static_cast<int>(dbit)).first;
-          if (f != origin_field) contaminated.insert(f);
-        }
-        m.step();
+
+        bc.avg_lifetime += lifetime;
+        bc.max_lifetime = std::max(bc.max_lifetime, lifetime);
+        bc.avg_contamination +=
+            static_cast<double>(std::popcount(contaminated));
+        ++bc.samples;
       }
 
-      bc.avg_lifetime += lifetime;
-      bc.max_lifetime = std::max(bc.max_lifetime, lifetime);
-      bc.avg_contamination += static_cast<double>(contaminated.size());
-      ++bc.samples;
+      if (bc.samples > 0) {
+        bc.avg_lifetime /= bc.samples;
+        bc.avg_contamination /= bc.samples;
+      }
     }
-
-    if (bc.samples > 0) {
-      bc.avg_lifetime /= bc.samples;
-      bc.avg_contamination /= bc.samples;
-    }
-    done_[static_cast<std::size_t>(flat)] = 1;
-  }
+  };
+  parallel_for(bits.size(), threads, /*grain=*/1, characterize);
 }
 
 bool RegisterCharacterization::characterized(int flat_bit) const {

@@ -11,8 +11,14 @@
 // Registers with long lifetime and ~zero contamination are classified as
 // memory-type (their attack outcome is evaluated analytically); the rest are
 // computation-type (sampled).
+//
+// The kernel compares masked field values against a per-cycle golden field
+// table (no packing, no allocation per injection) and runs the bits on a
+// worker pool. Each bit's injections accumulate in cycle order on one
+// worker, so the result is bitwise-identical at every thread count.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -43,10 +49,14 @@ struct BitCharacterization {
 class RegisterCharacterization {
  public:
   /// Characterizes the given flat register-map bits (all bits if empty)
-  /// against `golden` (the synthetic-workload golden run).
+  /// against `golden` (the synthetic-workload golden run), on `threads`
+  /// workers (0 = all hardware threads). The thread count never changes a
+  /// bit of the result. Each bit may be listed at most once; a duplicate or
+  /// out-of-range bit throws CheckError before any work starts.
   RegisterCharacterization(const rtl::GoldenRun& golden,
                            const CharacterizationConfig& config = {},
-                           std::vector<int> bits = {});
+                           std::vector<int> bits = {},
+                           std::size_t threads = 1);
 
   /// Rebuilds a characterization from previously measured per-bit results
   /// (the artifact-cache load path); both vectors are indexed by flat bit

@@ -89,6 +89,26 @@ std::uint32_t RegisterMap::get_field(const ArchState& s, int field_index) const 
   return 0;
 }
 
+void RegisterMap::get_fields(const ArchState& s, std::uint32_t* out) const {
+  // Same canonical order as the constructor and get_field.
+  *out++ = s.pc;
+  for (const std::uint16_t r : s.regs) *out++ = r;
+  for (const MpuRegion& region : s.mpu) {
+    *out++ = region.base;
+    *out++ = region.limit;
+    *out++ = region.perm;
+  }
+  *out++ = s.mpu_enable;
+  *out++ = s.instr_check;
+  *out++ = s.viol_sticky;
+  *out++ = s.viol_addr;
+  *out++ = s.halted;
+  *out++ = s.dma_src;
+  *out++ = s.dma_dst;
+  *out++ = s.dma_len;
+  *out = s.dma_active;
+}
+
 void RegisterMap::set_field(ArchState& s, int field_index,
                             std::uint32_t value) const {
   const RegisterField& f = field(field_index);

@@ -73,6 +73,9 @@ class RegisterMap {
 
   /// --- field accessors on ArchState -----------------------------------
   std::uint32_t get_field(const ArchState& s, int field_index) const;
+  /// Every field's value, unmasked, into out[0 .. fields().size()): the
+  /// branch-free equivalent of get_field over all fields, for hot loops.
+  void get_fields(const ArchState& s, std::uint32_t* out) const;
   void set_field(ArchState& s, int field_index, std::uint32_t value) const;
 
   bool get_bit(const ArchState& s, int flat_bit) const;

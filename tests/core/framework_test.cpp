@@ -471,6 +471,26 @@ TEST_F(PrecharacCacheTest, DifferentConfigIsStaleNotCorrupt) {
   EXPECT_EQ(stale.metrics().counter("precharac.cache_stale"), 1u);
 }
 
+TEST_F(PrecharacCacheTest, ColdArtifactBytesIndependentOfThreads) {
+  // Register characterization runs on evaluator.threads workers; the
+  // artifact (and its fingerprint) must not depend on that count.
+  std::string bytes[2];
+  const std::size_t threads[2] = {1, 4};
+  for (int i = 0; i < 2; ++i) {
+    std::filesystem::remove(path_);
+    FrameworkConfig cfg = cache_config();
+    cfg.evaluator.threads = threads[i];
+    FaultAttackEvaluator cold(soc::make_illegal_write_benchmark(), cfg);
+    ASSERT_EQ(cold.precharac_cache().outcome, "miss");
+    ASSERT_TRUE(cold.precharac_cache().stored);
+    Result<std::string> read = io::read_file(path_);
+    ASSERT_TRUE(read.is_ok());
+    bytes[i] = read.value();
+  }
+  EXPECT_FALSE(bytes[0].empty());
+  EXPECT_TRUE(bytes[0] == bytes[1]) << "threads 1 vs 4 artifacts differ";
+}
+
 TEST_F(PrecharacCacheTest, HeldLockDegradesToUnlockedElaboration) {
   // A peer that wedges while holding the elaboration lock must cost this
   // process only the bounded wait, never correctness or a deadlock.

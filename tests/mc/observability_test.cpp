@@ -174,6 +174,46 @@ TEST(Observability, TraceHasOneEventPerSampleInSampleOrder) {
   EXPECT_NE(os.str().find("\"traceEvents\""), std::string::npos);
 }
 
+TEST(Observability, BatchedLaneTimersAndSpansAreNotCumulative) {
+  // A te-group's lanes share one restore, settle and sweep. Each lane is
+  // charged its share of that plus its own finalization, so the per-sample
+  // timers of a run fit in its thread-time, and one worker's sample spans
+  // never overlap.
+  MetricsSink metrics;
+  TraceBuffer trace;
+  EvaluatorConfig cfg;
+  cfg.threads = 2;
+  cfg.metrics = &metrics;
+  cfg.trace = &trace;
+  run_with(cfg);
+  ASSERT_GT(metrics.counter("eval.batch_groups"), 0u);
+  ASSERT_NE(metrics.gauge("eval.lane_occupancy"), nullptr);
+  ASSERT_GT(*metrics.gauge("eval.lane_occupancy"), 2.0);
+
+  std::uint64_t sample_ns = 0;
+  for (const OutcomePath path : {OutcomePath::kMasked, OutcomePath::kAnalytical,
+                                 OutcomePath::kRtl, OutcomePath::kFailed}) {
+    const std::string name =
+        std::string("eval.sample.") + outcome_path_name(path) + "_ns";
+    if (const auto* t = metrics.timer(name)) sample_ns += t->total_ns;
+  }
+  ASSERT_NE(metrics.timer("run.total_ns"), nullptr);
+  EXPECT_LE(sample_ns, metrics.timer("run.total_ns")->total_ns * cfg.threads);
+
+  ASSERT_EQ(trace.size(), kSamples);
+  std::vector<TraceEvent> spans = trace.events();
+  std::sort(spans.begin(), spans.end(),
+            [](const TraceEvent& a, const TraceEvent& b) {
+              return a.tid != b.tid ? a.tid < b.tid : a.start_ns < b.start_ns;
+            });
+  for (std::size_t k = 1; k < spans.size(); ++k) {
+    if (spans[k].tid != spans[k - 1].tid) continue;
+    EXPECT_GE(spans[k].start_ns, spans[k - 1].start_ns + spans[k - 1].dur_ns)
+        << "samples " << spans[k - 1].order_key << " and "
+        << spans[k].order_key << " overlap on worker " << spans[k].tid;
+  }
+}
+
 TEST(Observability, ProgressMeterAgreesWithResult) {
   std::FILE* devnull = std::tmpfile();
   ASSERT_NE(devnull, nullptr);

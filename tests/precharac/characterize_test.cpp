@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <unordered_set>
+
 #include "soc/benchmark.h"
 #include "util/check.h"
+#include "util/io.h"
 
 namespace fav::precharac {
 namespace {
@@ -86,6 +91,125 @@ TEST(RegisterCharacterization, InvalidConfigThrows) {
 TEST(RegisterCharacterization, OutOfRangeBitThrows) {
   EXPECT_THROW(RegisterCharacterization(golden(), {}, {100000}),
                fav::CheckError);
+}
+
+TEST(RegisterCharacterization, DuplicateBitThrows) {
+  // A bit listed twice would accumulate into its slot twice (and race on a
+  // worker pool): rejected up front.
+  const int bit = field_bit("r4", 2);
+  const std::vector<int> bits = {bit, field_bit("pc"), bit};
+  EXPECT_THROW(RegisterCharacterization(golden(), {}, bits), fav::CheckError);
+}
+
+// --- identity of the field-table kernel ------------------------------------
+
+/// The original kernel, kept as a test-only oracle: a fresh machine per
+/// injection, the packed state XORed against the golden BitVector, and the
+/// contaminated fields collected per differing bit.
+std::vector<BitCharacterization> reference_characterization(
+    const CharacterizationConfig& config, const std::vector<int>& bits) {
+  const RegisterMap& map = Machine::reg_map();
+  const rtl::GoldenRun& g = golden();
+  std::vector<BitCharacterization> out(
+      static_cast<std::size_t>(map.total_bits()));
+  const std::uint64_t length = g.length();
+  for (const int flat : bits) {
+    auto& bc = out[static_cast<std::size_t>(flat)];
+    const int origin_field = map.locate(flat).first;
+    for (std::uint64_t c = config.first_cycle; c < length;
+         c += config.stride) {
+      Machine m = g.restore(c);
+      map.flip_bit(m.mutable_state(), flat);
+      double lifetime = static_cast<double>(config.horizon);
+      std::unordered_set<int> contaminated;
+      for (std::uint64_t k = 0; k < config.horizon; ++k) {
+        const BitVector diff =
+            map.pack(m.state()) ^ g.state_bits_at(std::min(c + k, length));
+        if (diff.none()) {
+          lifetime = static_cast<double>(k);
+          break;
+        }
+        for (const std::size_t dbit : diff.set_bits()) {
+          const int f = map.locate(static_cast<int>(dbit)).first;
+          if (f != origin_field) contaminated.insert(f);
+        }
+        m.step();
+      }
+      bc.avg_lifetime += lifetime;
+      bc.max_lifetime = std::max(bc.max_lifetime, lifetime);
+      bc.avg_contamination += static_cast<double>(contaminated.size());
+      ++bc.samples;
+    }
+    if (bc.samples > 0) {
+      bc.avg_lifetime /= bc.samples;
+      bc.avg_contamination /= bc.samples;
+    }
+  }
+  return out;
+}
+
+/// Bitwise equality of every member (struct padding excluded).
+bool bitwise_equal(const BitCharacterization& a, const BitCharacterization& b) {
+  return std::memcmp(&a.avg_lifetime, &b.avg_lifetime, sizeof(double)) == 0 &&
+         std::memcmp(&a.max_lifetime, &b.max_lifetime, sizeof(double)) == 0 &&
+         std::memcmp(&a.avg_contamination, &b.avg_contamination,
+                     sizeof(double)) == 0 &&
+         a.samples == b.samples;
+}
+
+/// FNV-1a over every bit's member bytes, then the characterized flags.
+std::uint64_t digest(const RegisterCharacterization& c) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (const BitCharacterization& b : c.raw_bits()) {
+    h = io::fnv1a64(&b.avg_lifetime, sizeof b.avg_lifetime, h);
+    h = io::fnv1a64(&b.max_lifetime, sizeof b.max_lifetime, h);
+    h = io::fnv1a64(&b.avg_contamination, sizeof b.avg_contamination, h);
+    h = io::fnv1a64(&b.samples, sizeof b.samples, h);
+  }
+  return io::fnv1a64(c.raw_done().data(), c.raw_done().size(), h);
+}
+
+TEST(RegisterCharacterization, KernelMatchesPackedReference) {
+  const RegisterMap& map = Machine::reg_map();
+  std::vector<int> bits;
+  for (int b = 0; b < map.total_bits(); b += 5) bits.push_back(b);
+  for (const char* name : {"pc", "r0", "mpu0_perm", "viol_addr"}) {
+    const rtl::RegisterField& f = map.field(map.field_index(name));
+    for (int b = 0; b < f.width; ++b) {
+      if (std::find(bits.begin(), bits.end(), f.offset + b) == bits.end()) {
+        bits.push_back(f.offset + b);
+      }
+    }
+  }
+  CharacterizationConfig cfg;
+  cfg.stride = 37;
+  const auto expected = reference_characterization(cfg, bits);
+  for (const std::size_t threads : {1u, 4u}) {
+    const RegisterCharacterization charac(golden(), cfg, bits, threads);
+    for (const int b : bits) {
+      ASSERT_TRUE(charac.characterized(b));
+      EXPECT_TRUE(bitwise_equal(charac.bit(b),
+                                expected[static_cast<std::size_t>(b)]))
+          << "bit " << b << " threads " << threads;
+    }
+  }
+}
+
+TEST(RegisterCharacterization, FullSweepDigestIsFixedAtEveryThreadCount) {
+  // Digests recorded from the packed-BitVector kernel (the reference above)
+  // over every bit, for the default config and for stride 37.
+  constexpr std::uint64_t kDefaultDigest = 0xAB9B94CB6A38B972ull;
+  constexpr std::uint64_t kStride37Digest = 0xFACF36547F73B8DFull;
+  CharacterizationConfig stride37;
+  stride37.stride = 37;
+  for (const std::size_t threads : {1u, 2u, 4u, 0u}) {
+    EXPECT_EQ(digest(RegisterCharacterization(golden(), {}, {}, threads)),
+              kDefaultDigest)
+        << "threads " << threads;
+    EXPECT_EQ(digest(RegisterCharacterization(golden(), stride37, {}, threads)),
+              kStride37Digest)
+        << "threads " << threads;
+  }
 }
 
 TEST(RegisterCharacterization, FullSweepClassesMatchExpectations) {

@@ -102,6 +102,25 @@ TEST(RegisterMap, PackUnpackRoundTrip) {
   }
 }
 
+TEST(RegisterMap, GetFieldsMatchesGetField) {
+  const RegisterMap& map = RegisterMap::mcu16();
+  const int nfields = static_cast<int>(map.fields().size());
+  fav::Rng rng(47);
+  for (int trial = 0; trial < 10; ++trial) {
+    ArchState s;
+    for (int fi = 0; fi < nfields; ++fi) {
+      map.set_field(s, fi, static_cast<std::uint32_t>(rng.next()));
+    }
+    std::vector<std::uint32_t> all(map.fields().size() + 1, 0xDEADBEEFu);
+    map.get_fields(s, all.data());
+    for (int fi = 0; fi < nfields; ++fi) {
+      EXPECT_EQ(all[static_cast<std::size_t>(fi)], map.get_field(s, fi))
+          << map.field(fi).name;
+    }
+    EXPECT_EQ(all.back(), 0xDEADBEEFu);  // writes exactly fields().size()
+  }
+}
+
 TEST(RegisterMap, PackDiffersAfterSingleFlip) {
   const RegisterMap& map = RegisterMap::mcu16();
   ArchState a, b;
