@@ -71,11 +71,13 @@ void BM_TransientInjection(benchmark::State& state) {
 }
 BENCHMARK(BM_TransientInjection)->Arg(100)->Arg(2000);
 
-// Bit-parallel injection: one inject_batch sweep computes Arg lane flip sets
-// at once. items_per_second counts lanes, so comparing this row's rate with
-// BM_TransientInjection's inverse time isolates the word-parallel win on the
-// injection sweep alone (shared restore/settle amortization comes on top —
-// see BM_MonteCarloRunBatchLanes for the end-to-end split).
+// Bit-parallel injection, the radiation technique's flip-set kernel: one
+// inject_batch sweep computes Arg lane flip sets at once. items_per_second
+// counts lanes, so comparing this row's rate with BM_TransientInjection's
+// inverse time isolates the word-parallel win on the injection sweep alone
+// (shared restore/settle amortization comes on top). Arg(1) is a group of
+// one — what a sample that shares its te with no other costs on the kernel,
+// against the single-sample reference inject() in BM_TransientInjection.
 void BM_InjectBatch(benchmark::State& state) {
   rtl::Machine m = fx().golden.restore(80);
   soc::GateLevelMachine gate(fx().soc, fx().bench.program);
@@ -104,7 +106,7 @@ void BM_InjectBatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(lanes));
 }
-BENCHMARK(BM_InjectBatch)->Arg(8)->Arg(64);
+BENCHMARK(BM_InjectBatch)->Arg(1)->Arg(8)->Arg(64);
 
 void BM_FullMonteCarloSample(benchmark::State& state) {
   static core::FaultAttackEvaluator fw(soc::make_illegal_write_benchmark());
@@ -163,37 +165,28 @@ BENCHMARK(BM_MonteCarloRunThreads)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Scalar vs word-parallel campaign split (Arg = EvaluatorConfig::batch_lanes,
-// threads fixed at 1). Arg(1) is the pre-batching scalar engine, Arg(64) the
-// full PPSFP path sharing one restore + settle + bit-parallel sweep per
-// injection-cycle group; the items_per_second ratio between the two rows is
-// the tentpole speedup tracked in BENCH_pr6.json. Results are bitwise
-// identical across rows — only the schedule changes.
-void BM_MonteCarloRunBatchLanes(benchmark::State& state) {
+// Single-threaded campaign throughput on the one evaluation path: samples
+// sharing an injection cycle share one restore + settle + bit-parallel
+// sweep, up to 64 lanes per group.
+void BM_MonteCarloRun(benchmark::State& state) {
   static core::FaultAttackEvaluator fw(soc::make_illegal_write_benchmark());
   static const faultsim::AttackModel attack = fw.subblock_attack_model(1.5, 50);
   static auto sampler = fw.make_importance_sampler(attack);
   mc::EvaluatorConfig cfg;
   cfg.threads = 1;
-  cfg.batch_lanes = static_cast<std::size_t>(state.range(0));
   cfg.keep_records = false;
   const mc::SsfEvaluator engine(fw.soc(), fw.placement(), fw.injector(),
                                 fw.benchmark(), fw.golden(),
                                 &fw.characterization(), cfg);
   constexpr std::size_t kSamples = 512;
   for (auto _ : state) {
-    Rng rng(42);  // same pre-drawn batch every iteration and lane count
+    Rng rng(42);  // same pre-drawn batch every iteration
     benchmark::DoNotOptimize(engine.run(*sampler, rng, kSamples));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kSamples));
 }
-BENCHMARK(BM_MonteCarloRunBatchLanes)
-    ->Arg(1)
-    ->Arg(8)
-    ->Arg(64)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+BENCHMARK(BM_MonteCarloRun)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Instrumented campaign: samples/s with the metrics sink attached plus the
 // observability layer's own answer to "where does the time go" — the

@@ -47,7 +47,6 @@ void write_run_report(std::ostream& out, const RunReportInputs& in) {
   out << "},\n"
       << "  \"seed\": " << in.seed << ",\n"
       << "  \"threads\": " << in.threads << ",\n"
-      << "  \"batch_lanes\": " << in.batch_lanes << ",\n"
       << "  \"supervise\": " << in.supervise << ",\n";
   if (in.supervised) {
     out << "  \"supervisor\": {\"restarts\": " << in.restarts

@@ -42,7 +42,6 @@ struct RunReportInputs {
   std::size_t samples = 0;
   std::uint64_t seed = 0;
   std::size_t threads = 1;
-  std::size_t batch_lanes = 0;
   std::size_t supervise = 0;
   // Supervisor block (emitted only when `supervised` is true).
   bool supervised = false;

@@ -30,7 +30,9 @@ class ClockGlitchSimulator {
   /// shortened to `glitch_period`. `sim` must hold the settled values of the
   /// glitched cycle (see soc::GateLevelMachine::settle_inputs): a register
   /// with arrival(D) + setup > glitch_period holds its old Q, so it flips
-  /// iff its new D differs from Q. Results are sorted by node id.
+  /// iff its new D differs from Q. Results are sorted by node id. The
+  /// single-sample reference the lane kernel
+  /// (ClockGlitchTechnique::flip_set) is tested against.
   std::vector<netlist::NodeId> flipped_dffs(const netlist::LogicSimulator& sim,
                                             double glitch_period) const;
 

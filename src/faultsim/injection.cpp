@@ -8,15 +8,6 @@ using netlist::CellType;
 using netlist::Netlist;
 using netlist::NodeId;
 
-void InjectionScratch::prepare(std::size_t node_count) {
-  // Clear before resizing: a shrink would otherwise leave touched_ entries
-  // pointing past the new end when a scratch is reused across netlists.
-  for (NodeId id : touched_) pulses_[id].clear();
-  touched_.clear();
-  flips_.clear();
-  pulses_.resize(node_count);
-}
-
 void BatchInjectionScratch::prepare(std::size_t node_count) {
   for (NodeId id : touched_) pulses_[id].clear();
   touched_.clear();
@@ -111,7 +102,7 @@ void InjectionSimulator::add_pulse_lane(
   // Same transitive merge as add_pulse, restricted to this lane's entries.
   // Same-lane entries keep the relative order a private per-lane list would
   // have (append + erase preserve it), so merge order, the cap check, and
-  // which entry min_element picks all match the scalar path exactly.
+  // which entry min_element picks all match the reference inject() exactly.
   bool merged = true;
   while (merged) {
     merged = false;
@@ -151,24 +142,11 @@ void InjectionSimulator::add_pulse_lane(
 InjectionResult InjectionSimulator::inject(const netlist::LogicSimulator& sim,
                                            std::span<const NodeId> struck,
                                            double strike_time) const {
-  InjectionScratch scratch;
-  return inject(sim, struck, strike_time, scratch);
-}
-
-InjectionResult InjectionSimulator::inject(const netlist::LogicSimulator& sim,
-                                           std::span<const NodeId> struck,
-                                           double strike_time,
-                                           InjectionScratch& scratch) const {
   FAV_ENSURE_MSG(strike_time >= 0.0, "strike time must be non-negative");
   InjectionResult result;
 
-  scratch.prepare(nl_->node_count());
-  auto& pulses = scratch.pulses_;
-  auto& flips = scratch.flips_;
-  const auto add = [&](NodeId id, Pulse p) {
-    if (pulses[id].empty()) scratch.touched_.push_back(id);
-    add_pulse(pulses[id], p);
-  };
+  std::vector<std::vector<Pulse>> pulses(nl_->node_count());
+  std::vector<NodeId> flips;
 
   for (NodeId g : struck) {
     const auto& n = nl_->node(g);
@@ -180,8 +158,8 @@ InjectionResult InjectionSimulator::inject(const netlist::LogicSimulator& sim,
       }
     } else if (netlist::is_combinational_gate(n.type)) {
       ++result.struck_gates;
-      add(g, {std::max(strike_time, timing_.arrival(g)),
-              params_.initial_width});
+      add_pulse(pulses[g], {std::max(strike_time, timing_.arrival(g)),
+                            params_.initial_width});
     }
   }
 
@@ -197,7 +175,7 @@ InjectionResult InjectionSimulator::inject(const netlist::LogicSimulator& sim,
       for (const Pulse& p : in_pulses) {
         const double width = p.width - tm.attenuation;
         if (width < tm.min_pulse_width) continue;  // electrically masked
-        add(id, {p.start + tm.delay(n.type), width});
+        add_pulse(pulses[id], {p.start + tm.delay(n.type), width});
       }
     }
   }
@@ -218,8 +196,8 @@ InjectionResult InjectionSimulator::inject(const netlist::LogicSimulator& sim,
     }
   }
 
-  result.flipped_dffs.assign(flips.begin(), flips.end());
-  std::sort(result.flipped_dffs.begin(), result.flipped_dffs.end());
+  std::sort(flips.begin(), flips.end());
+  result.flipped_dffs = std::move(flips);
   return result;
 }
 
@@ -279,7 +257,7 @@ void InjectionSimulator::inject_batch(
   }
 
   // Latching-window check at every DFF D input; the per-DFF mask mirrors the
-  // scalar "first latching pulse wins, insert once" set semantics.
+  // reference's "first latching pulse wins, insert once" set semantics.
   const double window_lo = timing_.clock_period() - tm.setup_time;
   const double window_hi = timing_.clock_period() + tm.hold_time;
   for (NodeId dff : nl_->dffs()) {

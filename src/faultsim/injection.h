@@ -40,27 +40,13 @@ struct Pulse {
   double width = 0;
 };
 
-/// Reusable per-thread buffers for the scalar inject() path. The per-node
-/// pulse lists keep their capacity across calls; only the lists touched by
-/// the previous call are cleared, so a mostly-masked campaign allocates
-/// nothing in steady state. Not thread-safe: one scratch per worker.
-class InjectionScratch {
- public:
-  InjectionScratch() = default;
-
- private:
-  friend class InjectionSimulator;
-  void prepare(std::size_t node_count);
-
-  std::vector<std::vector<Pulse>> pulses_;
-  std::vector<netlist::NodeId> touched_;  // nodes with non-empty pulse lists
-  std::vector<netlist::NodeId> flips_;
-};
-
-/// Reusable per-thread buffers for inject_batch(). Pulse lists are shared
-/// across lanes: each entry is tagged with its lane, and same-lane entries
-/// keep the relative order a dedicated per-lane list would have, which is
-/// what makes the batch merge/cap policy bit-identical to the scalar one.
+/// Reusable per-thread buffers for inject_batch(). The per-node pulse lists
+/// keep their capacity across calls; only the lists touched by the previous
+/// call are cleared, so a mostly-masked campaign allocates nothing in steady
+/// state. Pulse lists are shared across lanes: each entry is tagged with its
+/// lane, and same-lane entries keep the relative order a dedicated per-lane
+/// list would have, which is what makes the batch merge/cap policy
+/// bit-identical to the single-sample reference inject().
 class BatchInjectionScratch {
  public:
   BatchInjectionScratch() = default;
@@ -94,10 +80,13 @@ class InjectionSimulator {
                               const TimingModel& timing_model = {},
                               const TransientParams& params = {});
 
-  /// `sim` must hold the injection cycle's settled combinational values
-  /// (see soc::GateLevelMachine::settle_inputs). `struck` lists the cells
-  /// inside the radiated region (from layout::Placement::nodes_within).
-  /// `strike_time` is the radiation hit instant within the cycle, in
+  /// Single-sample reference for inject_batch(), kept for tests and the
+  /// error-pattern study (bench_fig7_error_patterns): it also counts how
+  /// each flip arose. `sim` must hold the injection cycle's settled
+  /// combinational values (see soc::GateLevelMachine::settle_inputs).
+  /// `struck` lists the cells inside the radiated region (from
+  /// layout::Placement::nodes_within). `strike_time` is the radiation hit
+  /// instant within the cycle, in
   /// [0, clock_period): it models the intra-cycle technique-parameter
   /// variation — a struck gate's transient begins at
   /// max(strike_time, arrival(gate)) because glitches that fire before the
@@ -106,18 +95,13 @@ class InjectionSimulator {
                          std::span<const netlist::NodeId> struck,
                          double strike_time = 0.0) const;
 
-  /// Allocation-free variant: reuses `scratch`'s per-node pulse lists and
-  /// flip buffer. Produces exactly the same result as the overload above.
-  InjectionResult inject(const netlist::LogicSimulator& sim,
-                         std::span<const netlist::NodeId> struck,
-                         double strike_time, InjectionScratch& scratch) const;
-
   /// Bit-parallel injection: one topological sweep computes the flip sets of
   /// up to 64 independent samples. Lane `l` uses struck set `struck[l]` and
   /// strike time `strike_times[l]` against `sim`'s lane-`l` values (all
   /// lanes typically broadcast from one settled scalar state). On return
   /// `flipped[l]` holds lane l's flipped DFFs (sorted, unique) — bitwise
-  /// identical to what the scalar inject() produces for that lane's inputs.
+  /// identical to what the reference inject() produces for that lane's
+  /// inputs. This is the radiation technique's flip-set kernel.
   void inject_batch(const netlist::WordSimulator& sim,
                     std::span<const std::vector<netlist::NodeId>> struck,
                     std::span<const double> strike_times,
@@ -127,7 +111,8 @@ class InjectionSimulator {
   const TimingAnalysis& timing() const { return timing_; }
   const TransientParams& params() const { return params_; }
 
-  /// Canonical pulse-list insertion shared by the scalar and batch paths:
+  /// Canonical pulse-list insertion of inject() (inject_batch() applies the
+  /// same policy per lane, see add_pulse_lane):
   /// transitively merges `p` with every overlapping entry (a union can grow
   /// into a neighbour, so merging rescans until stable), then appends the
   /// result, evicting the narrowest entry when the list is at

@@ -2,19 +2,6 @@
 
 namespace fav::faultsim {
 
-void AttackTechnique::flip_set_batch(
-    const netlist::WordSimulator& sim, TechniqueScratch& scratch,
-    std::span<const FaultSample> samples,
-    std::vector<std::vector<netlist::NodeId>>& flipped) const {
-  (void)sim;
-  (void)scratch;
-  (void)samples;
-  (void)flipped;
-  FAV_ENSURE_MSG(false, "technique '" << name()
-                                      << "' does not implement batch "
-                                      << "flip-set evaluation");
-}
-
 void AttackTechnique::enumerate(std::uint64_t begin, std::uint64_t end,
                                 std::vector<FaultSample>& out) const {
   (void)begin;
@@ -64,19 +51,7 @@ void RadiationTechnique::check_sample(const FaultSample& sample) const {
                  "strike_frac must be in [0, 1)");
 }
 
-void RadiationTechnique::flip_set(const netlist::LogicSimulator& sim,
-                                  TechniqueScratch& scratch,
-                                  const FaultSample& sample,
-                                  std::vector<netlist::NodeId>& flipped) const {
-  placement_->nodes_within(sample.center, sample.radius, scratch.struck);
-  const double strike_time =
-      sample.strike_frac * injector_->timing().clock_period();
-  InjectionResult inj =
-      injector_->inject(sim, scratch.struck, strike_time, scratch.injection);
-  flipped = std::move(inj.flipped_dffs);
-}
-
-void RadiationTechnique::flip_set_batch(
+void RadiationTechnique::flip_set(
     const netlist::WordSimulator& sim, TechniqueScratch& scratch,
     std::span<const FaultSample> samples,
     std::vector<std::vector<netlist::NodeId>>& flipped) const {
@@ -149,14 +124,6 @@ void ClockGlitchTechnique::check_sample(const FaultSample& sample) const {
 }
 
 void ClockGlitchTechnique::flip_set(
-    const netlist::LogicSimulator& sim, TechniqueScratch& scratch,
-    const FaultSample& sample, std::vector<netlist::NodeId>& flipped) const {
-  (void)scratch;  // no spatial query; the flip set is (state, depth)-only
-  const double period = glitch_->timing().clock_period() * sample.depth;
-  flipped = glitch_->flipped_dffs(sim, period);
-}
-
-void ClockGlitchTechnique::flip_set_batch(
     const netlist::WordSimulator& sim, TechniqueScratch& scratch,
     std::span<const FaultSample> samples,
     std::vector<std::vector<netlist::NodeId>>& flipped) const {
@@ -230,13 +197,6 @@ void VoltageGlitchTechnique::check_sample(const FaultSample& sample) const {
 }
 
 void VoltageGlitchTechnique::flip_set(
-    const netlist::LogicSimulator& sim, TechniqueScratch& scratch,
-    const FaultSample& sample, std::vector<netlist::NodeId>& flipped) const {
-  (void)scratch;  // no spatial query; the flip set is (state, droop)-only
-  flipped = droop_->flipped_dffs(sim, sample.depth);
-}
-
-void VoltageGlitchTechnique::flip_set_batch(
     const netlist::WordSimulator& sim, TechniqueScratch& scratch,
     std::span<const FaultSample> samples,
     std::vector<std::vector<netlist::NodeId>>& flipped) const {

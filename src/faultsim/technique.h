@@ -5,12 +5,14 @@
 // cycle at gate level -> latch the errors -> classify at RTL level) is
 // identical for every technique, and only the step that turns a sample's
 // technique parameters into latched register flips differs. AttackTechnique
-// is that step: given the settled gate-level values of the injection cycle
-// and one FaultSample, it produces the set of DFFs whose latched value
-// flipped. Everything around it — worker pool, scratch reuse, budgets,
-// isolation, journaled resume, metrics — lives once in mc::SsfEvaluator and
-// is inherited by every technique (the SYNFI-style "one analysis core, many
-// fault models" layering).
+// is that step, with one kernel per technique: given the settled gate-level
+// values of the injection cycle in every lane of a 64-bit word and one
+// FaultSample per lane, it produces each lane's set of DFFs whose latched
+// value flipped. A sample evaluated alone is a batch of one lane; there is
+// no separate scalar flow. Everything around it — te-grouping, worker pool,
+// scratch reuse, budgets, isolation, journaled resume, metrics — lives once
+// in mc::SsfEvaluator and is inherited by every technique (the SYNFI-style
+// "one analysis core, many fault models" layering).
 //
 // Implementations are immutable after construction and shared read-only
 // across worker threads; all per-sample mutable state lives in the
@@ -35,12 +37,8 @@
 namespace fav::faultsim {
 
 /// Reusable per-thread buffers for flip-set computation (spatial query
-/// results and the like). Not thread-safe: one scratch per worker thread.
+/// results, pulse lists). Not thread-safe: one scratch per worker thread.
 struct TechniqueScratch {
-  std::vector<netlist::NodeId> struck;
-  /// Pulse-list reuse for the scalar inject() path.
-  InjectionScratch injection;
-  /// Buffers for the bit-parallel flip_set_batch() path.
   BatchInjectionScratch batch;
   std::vector<std::vector<netlist::NodeId>> struck_lanes;
   std::vector<double> strike_times;
@@ -62,28 +60,30 @@ class AttackTechnique {
   /// campaign isolation layer turns that into a kFailed record.
   virtual void check_sample(const FaultSample& sample) const = 0;
 
-  /// DFFs whose latched value flips during the injection cycle. `sim` must
-  /// hold the cycle's settled values (soc::GateLevelMachine::settle_inputs);
-  /// `flipped` is overwritten (sorted, unique node ids). Deterministic: the
-  /// same (sim state, sample) yields the same flip set on every call.
-  virtual void flip_set(const netlist::LogicSimulator& sim,
-                        TechniqueScratch& scratch, const FaultSample& sample,
-                        std::vector<netlist::NodeId>& flipped) const = 0;
+  /// DFFs whose latched value flips during the injection cycle, for 1..64
+  /// samples at once: lane l evaluates `samples[l]` against lane l of
+  /// `sim`, which holds the cycle's settled values (the evaluator settles
+  /// one state and broadcasts it to every lane, see
+  /// soc::GateLevelMachine::broadcast_settled). `flipped` is resized to the
+  /// lane count and flipped[l] overwritten (sorted, unique node ids). A
+  /// lane's flip set depends only on its sample and its lane's values —
+  /// never on the other lanes or the lane count — so a batch of one is the
+  /// scalar case.
+  virtual void flip_set(const netlist::WordSimulator& sim,
+                        TechniqueScratch& scratch,
+                        std::span<const FaultSample> samples,
+                        std::vector<std::vector<netlist::NodeId>>& flipped)
+      const = 0;
 
-  /// True if flip_set_batch() is implemented; the evaluator only groups
-  /// samples into word-parallel batches for techniques that opt in.
-  virtual bool supports_batch() const { return false; }
-
-  /// Bit-parallel flip sets for up to 64 samples that share one injection
-  /// cycle: `sim` holds the settled cycle values broadcast to every lane,
-  /// and lane l evaluates `samples[l]`. On return `flipped[l]` equals what
-  /// flip_set() would produce for samples[l] — bit for bit. The default
-  /// implementation throws; only call when supports_batch() is true.
-  virtual void flip_set_batch(const netlist::WordSimulator& sim,
-                              TechniqueScratch& scratch,
-                              std::span<const FaultSample> samples,
-                              std::vector<std::vector<netlist::NodeId>>&
-                                  flipped) const;
+  /// Former name of flip_set(). The benchmark harness's per-layer tracer
+  /// (perfbench/native/trace.cpp) builds against it.
+  void flip_set_batch(const netlist::WordSimulator& sim,
+                      TechniqueScratch& scratch,
+                      std::span<const FaultSample> samples,
+                      std::vector<std::vector<netlist::NodeId>>& flipped)
+      const {
+    flip_set(sim, scratch, samples, flipped);
+  }
 
   /// --- enumerable fault space -------------------------------------------
   /// Number of points in the technique's bound fault space; 0 means no
@@ -124,14 +124,9 @@ class RadiationTechnique final : public AttackTechnique {
   TechniqueKind kind() const override { return TechniqueKind::kRadiation; }
   std::string parameter_space() const override;
   void check_sample(const FaultSample& sample) const override;
-  void flip_set(const netlist::LogicSimulator& sim, TechniqueScratch& scratch,
-                const FaultSample& sample,
-                std::vector<netlist::NodeId>& flipped) const override;
-  bool supports_batch() const override { return true; }
-  void flip_set_batch(const netlist::WordSimulator& sim,
-                      TechniqueScratch& scratch,
-                      std::span<const FaultSample> samples,
-                      std::vector<std::vector<netlist::NodeId>>& flipped)
+  void flip_set(const netlist::WordSimulator& sim, TechniqueScratch& scratch,
+                std::span<const FaultSample> samples,
+                std::vector<std::vector<netlist::NodeId>>& flipped)
       const override;
 
   const InjectionSimulator& injector() const { return *injector_; }
@@ -166,14 +161,9 @@ class ClockGlitchTechnique final : public AttackTechnique {
   TechniqueKind kind() const override { return TechniqueKind::kClockGlitch; }
   std::string parameter_space() const override;
   void check_sample(const FaultSample& sample) const override;
-  void flip_set(const netlist::LogicSimulator& sim, TechniqueScratch& scratch,
-                const FaultSample& sample,
-                std::vector<netlist::NodeId>& flipped) const override;
-  bool supports_batch() const override { return true; }
-  void flip_set_batch(const netlist::WordSimulator& sim,
-                      TechniqueScratch& scratch,
-                      std::span<const FaultSample> samples,
-                      std::vector<std::vector<netlist::NodeId>>& flipped)
+  void flip_set(const netlist::WordSimulator& sim, TechniqueScratch& scratch,
+                std::span<const FaultSample> samples,
+                std::vector<std::vector<netlist::NodeId>>& flipped)
       const override;
 
   const ClockGlitchSimulator& simulator() const { return *glitch_; }
@@ -203,14 +193,9 @@ class VoltageGlitchTechnique final : public AttackTechnique {
   TechniqueKind kind() const override { return TechniqueKind::kVoltageGlitch; }
   std::string parameter_space() const override;
   void check_sample(const FaultSample& sample) const override;
-  void flip_set(const netlist::LogicSimulator& sim, TechniqueScratch& scratch,
-                const FaultSample& sample,
-                std::vector<netlist::NodeId>& flipped) const override;
-  bool supports_batch() const override { return true; }
-  void flip_set_batch(const netlist::WordSimulator& sim,
-                      TechniqueScratch& scratch,
-                      std::span<const FaultSample> samples,
-                      std::vector<std::vector<netlist::NodeId>>& flipped)
+  void flip_set(const netlist::WordSimulator& sim, TechniqueScratch& scratch,
+                std::span<const FaultSample> samples,
+                std::vector<std::vector<netlist::NodeId>>& flipped)
       const override;
 
   const VoltageGlitchSimulator& simulator() const { return *droop_; }

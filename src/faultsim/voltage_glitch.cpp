@@ -25,9 +25,6 @@ std::vector<NodeId> VoltageGlitchSimulator::flipped_dffs(
   std::vector<NodeId> flips;
   for (const NodeId dff : nl_->dffs()) {
     const NodeId d = nl_->node(dff).fanins[0];
-    // Divide rather than premultiply 1/(1-droop): the batch path
-    // (technique.cpp) evaluates the same expression, and the two must agree
-    // to the last ulp for batch/scalar bitwise identity.
     if (timing_.arrival(d) / (1.0 - droop) + setup <= period) continue;
     // Too slow under droop: the register holds its old value. It is an
     // *error* only if the new D actually differs.

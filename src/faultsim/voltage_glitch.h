@@ -31,7 +31,8 @@ class VoltageGlitchSimulator {
   /// 1/(1-droop) for the current cycle. `sim` must hold the settled values
   /// of the glitched cycle: a register with arrival(D)/(1-droop) + setup >
   /// clock_period holds its old Q, so it flips iff its new D differs from Q.
-  /// Results are sorted by node id.
+  /// Results are sorted by node id. The single-sample reference the lane
+  /// kernel (VoltageGlitchTechnique::flip_set) is tested against.
   std::vector<netlist::NodeId> flipped_dffs(const netlist::LogicSimulator& sim,
                                             double droop) const;
 

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <memory>
-#include <set>
+#include <string>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "mc/journal.h"
@@ -28,6 +29,12 @@ namespace {
 /// Per-outcome-path latency timer name ("eval.sample.<path>_ns").
 std::string path_timer_name(OutcomePath path) {
   return std::string("eval.sample.") + outcome_path_name(path) + "_ns";
+}
+
+/// The error code a failed evaluation is recorded under.
+ErrorCode classify(const std::exception& e) {
+  if (const auto* se = dynamic_cast<const StatusError*>(&e)) return se->code();
+  return ErrorCode::kSampleEvalFailed;
 }
 
 }  // namespace
@@ -176,77 +183,122 @@ SampleRecord SsfEvaluator::evaluate_sample(
 SampleRecord SsfEvaluator::evaluate_sample(const faultsim::FaultSample& sample,
                                            EvalScratch& scratch,
                                            MetricsSink* sink) const {
-  SampleRecord rec;
-  rec.sample = sample;
-  technique_->check_sample(sample);
-  if (static_cast<std::uint64_t>(sample.t) > target_cycle_) {
-    // Injection before the program starts: nothing to strike.
-    rec.te = 0;
-    rec.path = OutcomePath::kMasked;
-    return rec;
-  }
-  rec.te = target_cycle_ - static_cast<std::uint64_t>(sample.t);
+  // A group of one: the te-group routine's shared phase and finalization.
+  scratch.lane_samples_.assign(1, sample);
+  const GroupInjection group = inject_group(scratch, sink);
+  return finish_lane(scratch, group, 0, sink);
+}
 
-  // Gate-level injection cycle(s). Multi-cycle impact (sample.impact_cycles
-  // > 1) applies the same technique parameters on consecutive cycles: each
-  // cycle is settled on the *already-corrupted* state, its latched errors
-  // overlaid, and the machine advanced — the paper's "multi-cycle impact"
-  // extension.
-  EvalBudget budget(config_.cycle_budget, config_.sample_deadline_ms);
-  const RegisterMap& map = Machine::reg_map();
+SsfEvaluator::GroupInjection SsfEvaluator::inject_group(
+    EvalScratch& sc, MetricsSink* sink) const {
+  const std::vector<faultsim::FaultSample>& lanes = sc.lane_samples_;
+  for (const faultsim::FaultSample& s : lanes) technique_->check_sample(s);
+  const faultsim::FaultSample& first = lanes.front();
+  // Several injection cycles strike the already-corrupted state, so only a
+  // sample alone can have them.
+  FAV_CHECK(lanes.size() == 1 || first.impact_cycles == 1);
+  GroupInjection group;
+  sc.lane_bits_.resize(lanes.size());
+  for (std::vector<int>& bits : sc.lane_bits_) bits.clear();
+  if (static_cast<std::uint64_t>(first.t) > target_cycle_) {
+    return group;  // injection before the program starts: nothing to strike
+  }
+  group.injected = true;
+  group.te = target_cycle_ - static_cast<std::uint64_t>(first.t);
 
   // The scratch machines are fully re-loaded here: restore_into rewrites the
   // RTL state/RAM/cycle, and load_state + settle_inputs rewrite every
   // register, input, and combinational value of the gate-level simulator —
-  // no state survives from the previous sample.
-  Machine& machine = scratch.machine_;
-  std::uint64_t warmup = 0;
+  // no state survives from the previous group. No budget is charged here:
+  // finish_lane replays the charges per lane, so an overrun fails only its
+  // own lane.
+  Machine& machine = sc.machine_;
   {
     ScopeTimer timer(sink, "eval.restore_ns");
-    golden_->restore_into(machine, rec.te, &warmup);
+    golden_->restore_into(machine, group.te, &group.warmup);
   }
   if (sink != nullptr) {
-    sink->add_counter("rtl.warmup_cycles", warmup);
+    sink->add_counter("rtl.warmup_cycles", group.warmup);
     sink->add_counter("rtl.restore_bytes", golden_->restore_byte_size());
   }
-  budget.charge_cycles(warmup);
-  soc::GateLevelMachine& gate = scratch.gate_;
-  std::set<int> flipped;
+  // Multi-cycle impact (impact_cycles > 1) applies the same technique
+  // parameters on consecutive cycles: each cycle is settled on the
+  // already-corrupted state, its latched errors overlaid, and the machine
+  // advanced — the paper's "multi-cycle impact" extension. With one cycle
+  // the lanes share the machine, and each lane's errors are overlaid on its
+  // own copy when it is finished.
+  group.overlaid = first.impact_cycles > 1;
+  const RegisterMap& map = Machine::reg_map();
+  soc::GateLevelMachine& gate = sc.gate_;
   {
     ScopeTimer timer(sink, "eval.gate_inject_ns");
     const std::uint64_t settles_before = gate.total_settles();
-    std::uint64_t injection_cycles = 0;
-    for (int j = 0; j < sample.impact_cycles && !machine.halted(); ++j) {
-      budget.charge_cycles(1);
-      ++injection_cycles;
+    for (int j = 0; j < first.impact_cycles && !machine.halted(); ++j) {
+      ++group.cycles;
       gate.load_state(machine.state());
       gate.mutable_ram() = machine.ram();
       gate.settle_inputs();
-      technique_->flip_set(gate.sim(), scratch.technique_, sample,
-                           scratch.flipped_dffs_);
+      gate.broadcast_settled(sc.words_);
+      technique_->flip_set(sc.words_, sc.technique_, lanes, sc.lane_flips_);
       machine.step();
-      for (const netlist::NodeId dff : scratch.flipped_dffs_) {
-        const int bit = soc_->flat_bit_for_dff(dff);
-        FAV_CHECK(bit >= 0);
-        map.flip_bit(machine.mutable_state(), bit);
-        flipped.insert(bit);
+      for (std::size_t l = 0; l < lanes.size(); ++l) {
+        for (const netlist::NodeId dff : sc.lane_flips_[l]) {
+          const int bit = soc_->flat_bit_for_dff(dff);
+          FAV_CHECK(bit >= 0);
+          sc.lane_bits_[l].push_back(bit);
+          if (group.overlaid) map.flip_bit(machine.mutable_state(), bit);
+        }
       }
     }
     if (sink != nullptr) {
-      sink->add_counter("gate.injection_cycles", injection_cycles);
+      sink->add_counter("gate.injection_cycles", group.cycles);
       sink->add_counter("gate.settle_passes",
                         gate.total_settles() - settles_before);
     }
   }
-  rec.flipped_bits.assign(flipped.begin(), flipped.end());
+  for (std::vector<int>& bits : sc.lane_bits_) {
+    std::sort(bits.begin(), bits.end());
+    bits.erase(std::unique(bits.begin(), bits.end()), bits.end());
+  }
+  if (sink != nullptr) {
+    sink->add_counter("eval.batch_groups", 1);
+    sink->add_counter("eval.batch_lanes", lanes.size());
+    sink->add_counter("eval.batch_restore_saved", lanes.size() - 1);
+  }
+  return group;
+}
 
-  // `machine` is already positioned just past the last injection cycle with
-  // every latched error overlaid; for impact_cycles == 1 this is exactly the
-  // state outcome_for_flips would reconstruct.
-  rec.success = decide_outcome(
-      machine, rec.flipped_bits,
-      rec.te + static_cast<std::uint64_t>(sample.impact_cycles), &rec.path,
-      budget, sink);
+SampleRecord SsfEvaluator::finish_lane(EvalScratch& sc,
+                                       const GroupInjection& group,
+                                       std::size_t lane,
+                                       MetricsSink* sink) const {
+  const faultsim::FaultSample& sample = sc.lane_samples_[lane];
+  SampleRecord rec;
+  rec.sample = sample;
+  if (!group.injected) return rec;  // masked, te 0
+  rec.te = group.te;
+  // The lane's budget sees the charges of a sample evaluated alone: the
+  // warm-up, then each injection cycle, then the resume.
+  EvalBudget budget(config_.cycle_budget, config_.sample_deadline_ms);
+  budget.charge_cycles(group.warmup);
+  for (std::uint64_t c = 0; c < group.cycles; ++c) budget.charge_cycles(1);
+  rec.flipped_bits = sc.lane_bits_[lane];
+  if (!rec.flipped_bits.empty()) {
+    // Only diverging lanes pay for an RTL resume, on a copy of the shared
+    // post-injection state so the machine stays valid for the other lanes.
+    Machine* machine = &sc.machine_;
+    if (!group.overlaid) {
+      sc.resume_ = sc.machine_;
+      for (const int bit : rec.flipped_bits) {
+        Machine::reg_map().flip_bit(sc.resume_.mutable_state(), bit);
+      }
+      machine = &sc.resume_;
+    }
+    rec.success = decide_outcome(
+        *machine, rec.flipped_bits,
+        rec.te + static_cast<std::uint64_t>(sample.impact_cycles), &rec.path,
+        budget, sink);
+  }
   rec.contribution = rec.success ? sample.weight : 0.0;
   return rec;
 }
@@ -254,20 +306,17 @@ SampleRecord SsfEvaluator::evaluate_sample(const faultsim::FaultSample& sample,
 SampleRecord SsfEvaluator::evaluate_sample_isolated(
     const faultsim::FaultSample& sample,
     std::unique_ptr<EvalScratch>& scratch, MetricsSink* sink) const {
-  auto classify = [](const std::exception& e) {
-    if (const auto* se = dynamic_cast<const StatusError*>(&e)) {
-      return se->code();
-    }
-    return ErrorCode::kSampleEvalFailed;
-  };
-  ErrorCode code;
-  std::string reason;
   try {
     return evaluate_sample(sample, *scratch, sink);
   } catch (const std::exception& e) {
-    code = classify(e);
-    reason = e.what();
+    return retry_or_fail(sample, classify(e), e.what(), scratch, sink);
   }
+}
+
+SampleRecord SsfEvaluator::retry_or_fail(const faultsim::FaultSample& sample,
+                                         ErrorCode code, std::string reason,
+                                         std::unique_ptr<EvalScratch>& scratch,
+                                         MetricsSink* sink) const {
   // A cycle-budget overrun is deterministic — the retry would burn the same
   // cycles and fail identically, so only other failures are re-attempted,
   // on a *fresh* scratch in case the failed attempt left the machines in an
@@ -292,7 +341,7 @@ SampleRecord SsfEvaluator::evaluate_sample_isolated(
   rec.sample = sample;
   rec.path = OutcomePath::kFailed;
   rec.fail_code = code;
-  rec.fail_reason = reason;
+  rec.fail_reason = std::move(reason);
   rec.retried = retried;
   return rec;
 }
@@ -470,50 +519,46 @@ std::size_t SsfEvaluator::evaluate_wave(
     const faultsim::FaultSample* samples, SampleRecord* records, std::size_t n,
     std::size_t base, std::vector<std::unique_ptr<EvalScratch>>& scratch,
     WorkerObservers& observers) const {
-  // Word-parallel batching: group samples that share an injection cycle te
-  // so one restore + settle + bit-parallel sweep serves the whole group.
-  // Eligibility mirrors the scalar flow exactly — a sample whose parameters
-  // fail check_sample, that lands before the program starts, or that needs
-  // multi-cycle impact keeps its scalar evaluation (a singleton unit).
-  // Grouping is computed sequentially over the whole wave, so the unit list
-  // — and with it every record — is identical at every thread count. Units
-  // are numbered in order of their first (smallest) index.
-  const std::size_t lane_cap = std::min<std::size_t>(config_.batch_lanes, 64);
-  const bool batching = lane_cap >= 2 && technique_->supports_batch();
+  // Group samples that share an injection cycle te so one restore + settle +
+  // bit-parallel sweep serves the whole group. A sample that cannot share a
+  // group is a group of one: one whose parameters fail check_sample (its
+  // group records the failure), one that lands before the program starts,
+  // or one with multi-cycle impact. Grouping is computed sequentially over
+  // the whole wave, so the group list — and with it every record — is
+  // identical at every thread count. Groups are numbered in order of their
+  // first (smallest) index.
   std::vector<std::vector<std::size_t>> units;
-  std::unordered_map<std::uint64_t, std::size_t> open;  // te -> open unit
+  std::unordered_map<std::uint64_t, std::size_t> open;  // te -> open group
   for (std::size_t i = 0; i < n; ++i) {
     const faultsim::FaultSample& s = samples[i];
-    bool eligible = batching && s.impact_cycles == 1;
-    if (eligible) {
+    bool shareable = s.impact_cycles == 1 &&
+                     static_cast<std::uint64_t>(s.t) <= target_cycle_;
+    if (shareable) {
       try {
         technique_->check_sample(s);
       } catch (const std::exception&) {
-        eligible = false;  // the scalar path records the failure
+        shareable = false;
       }
     }
-    if (eligible && static_cast<std::uint64_t>(s.t) > target_cycle_) {
-      eligible = false;  // early-masked: nothing to strike, stays scalar
-    }
-    if (!eligible) {
+    if (!shareable) {
       units.push_back({i});
       continue;
     }
     const std::uint64_t te = target_cycle_ - static_cast<std::uint64_t>(s.t);
     const auto it = open.find(te);
-    if (it != open.end() && units[it->second].size() < lane_cap) {
+    if (it != open.end() && units[it->second].size() < kMaxLanes) {
       units[it->second].push_back(i);
     } else {
-      open[te] = units.size();  // full units are sealed and replaced
+      open[te] = units.size();  // full groups are sealed and replaced
       units.push_back({i});
     }
   }
 
-  // Workers pull units dynamically (sample cost varies by outcome path) and
+  // Workers pull groups dynamically (sample cost varies by outcome path) and
   // write each record into its own slot with per-thread scratch, so the
   // schedule never reaches the results. Instrumentation writes only the
   // worker's own sink/trace slot (merged later), so observing a run cannot
-  // perturb it. The stop flag is polled before every unit: once it flips,
+  // perturb it. The stop flag is polled before every group: once it flips,
   // each worker finishes at most the group in hand.
   std::vector<std::uint8_t> skipped(units.size(), 0);
   auto eval_units = [&](std::size_t worker, std::size_t b, std::size_t e) {
@@ -521,174 +566,90 @@ std::size_t SsfEvaluator::evaluate_wave(
         observers.sinks.empty() ? nullptr : &observers.sinks[worker];
     TraceBuffer* trace_buf =
         observers.traces.empty() ? nullptr : &observers.traces[worker];
-    const auto w = static_cast<std::uint32_t>(worker);
-    auto eval_one = [&](std::size_t, std::size_t i) {
-      const bool timing = sink != nullptr || trace_buf != nullptr;
-      const std::uint64_t t0 = timing ? monotonic_ns() : 0;
-      records[i] = evaluate_sample_isolated(samples[i], scratch[worker], sink);
-      complete_sample(records[i], base + i, w, t0,
-                      timing ? monotonic_ns() - t0 : 0, sink, trace_buf);
-    };
     for (std::size_t u = b; u < e; ++u) {
       if (config_.stop != nullptr &&
           config_.stop->load(std::memory_order_relaxed)) {
         skipped[u] = 1;
-      } else if (units[u].size() == 1) {
-        eval_one(worker, units[u][0]);
       } else {
         evaluate_group(samples, records, units[u], base, scratch[worker], sink,
-                       trace_buf, w, eval_one);
+                       trace_buf, static_cast<std::uint32_t>(worker));
       }
     }
   };
   parallel_for(units.size(), scratch.size(), /*grain=*/1, eval_units);
-  // Every sample below the first skipped unit's first index belongs to an
-  // earlier, evaluated unit: that index ends the contiguous prefix.
+  // Every sample below the first skipped group's first index belongs to an
+  // earlier, evaluated group: that index ends the contiguous prefix.
   for (std::size_t u = 0; u < units.size(); ++u) {
     if (skipped[u] != 0) return units[u][0];
   }
   return n;
 }
 
-void SsfEvaluator::evaluate_group(
-    const faultsim::FaultSample* samples, SampleRecord* records,
-    const std::vector<std::size_t>& unit, std::size_t base,
-    std::unique_ptr<EvalScratch>& scratch, MetricsSink* sink,
-    TraceBuffer* trace_buf, std::uint32_t worker,
-    const std::function<void(std::size_t, std::size_t)>& scalar_eval) const {
+void SsfEvaluator::evaluate_group(const faultsim::FaultSample* samples,
+                                  SampleRecord* records,
+                                  const std::vector<std::size_t>& unit,
+                                  std::size_t base,
+                                  std::unique_ptr<EvalScratch>& scratch,
+                                  MetricsSink* sink, TraceBuffer* trace_buf,
+                                  std::uint32_t worker) const {
   const bool timing = sink != nullptr || trace_buf != nullptr;
   const std::uint64_t t0 = timing ? monotonic_ns() : 0;
-  const std::uint64_t te =
-      target_cycle_ - static_cast<std::uint64_t>(samples[unit[0]].t);
-
-  // Shared phase: one restore, one gate-level settle, one bit-parallel
-  // flip-set sweep for the whole group. No budget is charged here — the
-  // per-lane finalization below replays the scalar charge sequence exactly,
-  // so budget overruns fail lane-by-lane with scalar-identical records.
   EvalScratch& sc = *scratch;
-  std::uint64_t warmup = 0;
-  bool halted_at_te = false;
+  sc.lane_samples_.clear();
+  for (const std::size_t i : unit) sc.lane_samples_.push_back(samples[i]);
+
+  // Lanes whose evaluation threw, by lane: retried once the others are done.
+  struct LaneFailure {
+    std::size_t lane;
+    ErrorCode code;
+    std::string reason;
+  };
+  std::vector<LaneFailure> failures;
+  GroupInjection group;
   bool shared_ok = true;
   try {
-    {
-      ScopeTimer timer(sink, "eval.restore_ns");
-      golden_->restore_into(sc.machine_, te, &warmup);
-    }
-    if (sink != nullptr) {
-      sink->add_counter("rtl.warmup_cycles", warmup);
-      sink->add_counter("rtl.restore_bytes", golden_->restore_byte_size());
-    }
-    halted_at_te = sc.machine_.halted();
-    if (!halted_at_te) {
-      ScopeTimer timer(sink, "eval.gate_inject_ns");
-      const std::uint64_t settles_before = sc.gate_.total_settles();
-      sc.gate_.load_state(sc.machine_.state());
-      sc.gate_.mutable_ram() = sc.machine_.ram();
-      sc.gate_.settle_inputs();
-      sc.gate_.broadcast_settled(sc.words_);
-      sc.lane_samples_.clear();
-      for (const std::size_t i : unit) sc.lane_samples_.push_back(samples[i]);
-      technique_->flip_set_batch(sc.words_, sc.technique_, sc.lane_samples_,
-                                 sc.lane_flips_);
-      sc.machine_.step();
-      if (sink != nullptr) {
-        sink->add_counter("gate.injection_cycles", 1);
-        sink->add_counter("gate.settle_passes",
-                          sc.gate_.total_settles() - settles_before);
-      }
-    } else {
-      // The loop body never runs in the scalar flow either: every lane is
-      // masked with an empty flip set.
-      sc.lane_flips_.assign(unit.size(), std::vector<netlist::NodeId>{});
-    }
-  } catch (const std::exception&) {
+    group = inject_group(sc, sink);
+  } catch (const std::exception& e) {
+    // The shared phase failed (e.g. a sample alone that fails check_sample):
+    // every lane takes the failure to its retry.
     shared_ok = false;
-  }
-  if (!shared_ok) {
-    // The shared work failed deterministically (restore/settle/flip-set);
-    // the scalar replay reproduces the identical failure — and its retry /
-    // kFailed record — per sample.
-    for (const std::size_t i : unit) scalar_eval(worker, i);
-    return;
-  }
-  if (sink != nullptr) {
-    sink->add_counter("eval.batch_groups", 1);
-    sink->add_counter("eval.batch_lanes", unit.size());
-    sink->add_counter("eval.batch_restore_saved", unit.size() - 1);
+    for (std::size_t l = 0; l < unit.size(); ++l) {
+      failures.push_back({l, classify(e), e.what()});
+    }
   }
 
   // Each lane is charged an equal share of the shared phase plus its own
-  // finalization, and its trace span starts where the previous lane's ended:
-  // the spans tile [t0, now) without overlap and the per-sample timers sum
-  // to at most the group's wall time.
-  std::uint64_t share = timing ? (monotonic_ns() - t0) / unit.size() : 0;
+  // finalization (or retry), and its trace span starts where the previous
+  // lane's ended: the spans tile [t0, now) without overlap and the
+  // per-sample timers sum to at most the group's wall time.
+  const std::uint64_t share = timing ? (monotonic_ns() - t0) / unit.size() : 0;
   std::uint64_t cursor = t0;
-  const RegisterMap& map = Machine::reg_map();
-  for (std::size_t l = 0; l < unit.size(); ++l) {
-    const std::size_t i = unit[l];
-    const faultsim::FaultSample& s = samples[i];
-    const std::uint64_t lane_t0 = timing ? monotonic_ns() : 0;
-    SampleRecord rec;
-    bool done = false;
-    try {
-      rec.sample = s;
-      rec.te = te;
-      // Replay the scalar budget charges: warm-up after restore, then one
-      // cycle for the injection cycle (skipped when the machine was already
-      // halted, exactly as the scalar loop guard skips it).
-      EvalBudget budget(config_.cycle_budget, config_.sample_deadline_ms);
-      budget.charge_cycles(warmup);
-      if (!halted_at_te) budget.charge_cycles(1);
-      std::set<int> flipped;
-      for (const netlist::NodeId dff : sc.lane_flips_[l]) {
-        const int bit = soc_->flat_bit_for_dff(dff);
-        FAV_CHECK(bit >= 0);
-        flipped.insert(bit);
-      }
-      rec.flipped_bits.assign(flipped.begin(), flipped.end());
-      if (rec.flipped_bits.empty()) {
-        rec.path = OutcomePath::kMasked;
-        rec.success = false;
-      } else {
-        // Only diverging lanes pay for an RTL resume: copy the shared
-        // post-injection state, overlay this lane's errors, and decide.
-        sc.resume_ = sc.machine_;
-        for (const int bit : rec.flipped_bits) {
-          map.flip_bit(sc.resume_.mutable_state(), bit);
-        }
-        rec.success = decide_outcome(sc.resume_, rec.flipped_bits, te + 1,
-                                     &rec.path, budget, sink);
-      }
-      rec.contribution = rec.success ? s.weight : 0.0;
-      done = true;
-    } catch (const StatusError& e) {
-      if (e.code() == ErrorCode::kCycleBudgetExceeded) {
-        // Deterministic overrun: the scalar path records it without retry.
-        rec = SampleRecord{};
-        rec.sample = s;
-        rec.path = OutcomePath::kFailed;
-        rec.fail_code = e.code();
-        rec.fail_reason = e.what();
-        done = true;
-      }
-    } catch (const std::exception&) {
-      // Fall through to the scalar replay below.
-    }
-    if (!done) {
-      // Retryable failure (deadline, check failure, ...): the scalar replay
-      // owns the full isolation protocol, including the fresh-scratch retry.
-      // It times itself from now, so later lanes start after it and forgo
-      // their share of the shared phase.
-      scalar_eval(worker, i);
-      share = 0;
-      cursor = timing ? monotonic_ns() : 0;
-      continue;
-    }
+  const auto complete = [&](std::size_t lane, SampleRecord&& rec,
+                            std::uint64_t lane_t0) {
+    const std::size_t i = unit[lane];
     records[i] = std::move(rec);
     const std::uint64_t dur = timing ? share + (monotonic_ns() - lane_t0) : 0;
     complete_sample(records[i], base + i, worker, cursor, dur, sink,
                     trace_buf);
     cursor += dur;
+  };
+  for (std::size_t l = 0; shared_ok && l < unit.size(); ++l) {
+    const std::uint64_t lane_t0 = timing ? monotonic_ns() : 0;
+    try {
+      complete(l, finish_lane(sc, group, l, sink), lane_t0);
+    } catch (const std::exception& e) {
+      failures.push_back({l, classify(e), e.what()});
+    }
+  }
+  // A retry evaluates its sample as a group of one on a fresh scratch, which
+  // replaces `scratch` (`sc` dangles from here on): it must not run before
+  // every other lane has read the shared post-injection machine.
+  for (LaneFailure& f : failures) {
+    const std::uint64_t lane_t0 = timing ? monotonic_ns() : 0;
+    complete(f.lane,
+             retry_or_fail(samples[unit[f.lane]], f.code, std::move(f.reason),
+                           scratch, sink),
+             lane_t0);
   }
 }
 

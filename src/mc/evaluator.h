@@ -13,10 +13,18 @@
 //                                       the benchmark's success oracle,
 //   4. accumulate e * (f/g) into the importance-weighted SSF estimate.
 //
+// Steps 1 and 2 run once per te-group: up to 64 samples that share Te are
+// restored and settled together, and the technique's lane kernel computes
+// every lane's latched errors in one bit-parallel sweep; each lane then
+// finishes step 3 on its own, and only diverging lanes resume at RTL
+// level. A sample that cannot share a group (a unique Te, multi-cycle
+// impact, a direct evaluate_sample call) is a group of one — there is no
+// separate scalar flow.
+//
 // The engine is technique-generic: only step 2's flip-set computation is
 // delegated (see faultsim/technique.h), so every technique inherits the
-// worker pool, scratch reuse, isolation/budgets, journaled resume and
-// observability below.
+// grouping, worker pool, scratch reuse, isolation/budgets, journaled resume
+// and observability below.
 //
 // Robustness: a campaign of 1e4–1e6 samples must survive individual
 // pathological samples. Each evaluation inside run()/run_journaled() is
@@ -173,16 +181,6 @@ struct EvaluatorConfig {
   /// Retry a failed evaluation once on fresh scratch before recording
   /// kFailed (cycle-budget overruns are deterministic and never retried).
   bool retry_failed = true;
-  /// Word-parallel batching width: samples sharing one injection cycle te
-  /// (and impact_cycles == 1) are evaluated up to `batch_lanes` at a time,
-  /// sharing a single checkpoint restore + gate-level settle and computing
-  /// their flip sets in one bit-parallel topological sweep (lane = sample =
-  /// one bit of a 64-bit word). 0 or 1 disables batching; values above 64
-  /// are clamped. Batching never changes results: every record is bitwise
-  /// identical to the scalar path at every lane count and thread count —
-  /// grouping only changes how the work is scheduled.
-  std::size_t batch_lanes = 64;
-
   /// --- observability (util/metrics.h; all optional, null = disabled) ----
   /// Aggregated campaign metrics. Per-worker sinks are created inside
   /// run()/run_journaled() and merged into *metrics in worker-index order
@@ -257,20 +255,22 @@ class EvalScratch {
   rtl::Machine machine_;
   soc::GateLevelMachine gate_;
   faultsim::TechniqueScratch technique_;
-  std::vector<netlist::NodeId> flipped_dffs_;
-  /// Word-parallel batch state: the 64-lane simulator the settled injection
-  /// cycle is broadcast into, the per-lane sample/flip buffers, and the
-  /// machine a diverging lane's RTL resume runs on (copied from the shared
-  /// post-injection state so machine_ stays valid for the other lanes).
+  /// Te-group state: the 64-lane simulator the settled injection cycle is
+  /// broadcast into, the per-lane sample, flipped-DFF and flipped-bit
+  /// buffers, and the machine a diverging lane's RTL resume runs on (copied
+  /// from the shared post-injection state so machine_ stays valid for the
+  /// other lanes).
   netlist::WordSimulator words_;
   rtl::Machine resume_;
   std::vector<faultsim::FaultSample> lane_samples_;
   std::vector<std::vector<netlist::NodeId>> lane_flips_;
+  std::vector<std::vector<int>> lane_bits_;
 };
 
-/// Sets the "eval.lane_occupancy" gauge (mean lanes per word-parallel
-/// te-group: eval.batch_lanes / eval.batch_groups) from the counters already
-/// in `metrics`; a no-op while no group was evaluated.
+/// Sets the "eval.lane_occupancy" gauge (gate-evaluated samples per
+/// restore: eval.batch_lanes / eval.batch_groups, groups of one included)
+/// from the counters already in `metrics`; a no-op while no group was
+/// evaluated.
 void update_lane_occupancy(MetricsSink& metrics);
 
 /// Options for crash-safe journaled campaigns (see mc/journal.h for the
@@ -301,6 +301,9 @@ class SsfEvaluator {
   /// with te-groups formed across the whole wave so they can fill all 64
   /// lanes. Journal shards are committed after each wave.
   static constexpr std::size_t kWaveSamples = 64 * 256;
+  /// Most samples one te-group evaluates: the word width of the lane
+  /// kernels (faultsim::AttackTechnique::flip_set).
+  static constexpr std::size_t kMaxLanes = 64;
 
   /// Technique-generic engine: evaluates samples of `technique`'s family.
   /// `characterization` may be null: the analytical path is then disabled
@@ -333,10 +336,10 @@ class SsfEvaluator {
   }
   const EvaluatorConfig& config() const { return config_; }
 
-  /// Full evaluation of one fault sample (convenience: builds a fresh
-  /// scratch; use the scratch overload inside sampling loops). Throws on
-  /// invalid samples and budget overruns — campaign loops use the isolated
-  /// variant below instead.
+  /// Full evaluation of one fault sample, as a te-group of one (convenience:
+  /// builds a fresh scratch; use the scratch overload inside sampling
+  /// loops). Throws on invalid samples and budget overruns — campaign loops
+  /// use the isolated variant below instead.
   SampleRecord evaluate_sample(const faultsim::FaultSample& sample) const;
   /// Same, reusing `scratch`'s machines and buffers. Thread-safe as long as
   /// each thread uses its own scratch: the evaluator itself is only read.
@@ -344,7 +347,8 @@ class SsfEvaluator {
   /// (eval.restore_ns / eval.gate_inject_ns / eval.rtl_resume_ns /
   /// eval.analytical_ns) and simulation-cost counters (rtl.warmup_cycles,
   /// rtl.restore_bytes, rtl.resume_cycles, gate.injection_cycles,
-  /// gate.settle_passes); the sink must be private to the calling thread.
+  /// gate.settle_passes, and the eval.batch_* counters of its group of
+  /// one); the sink must be private to the calling thread.
   SampleRecord evaluate_sample(const faultsim::FaultSample& sample,
                                EvalScratch& scratch,
                                MetricsSink* sink = nullptr) const;
@@ -394,9 +398,8 @@ class SsfEvaluator {
   /// materialized, so memory stays O(wave) regardless of grid size. The
   /// result carries fault_space_size so coverage() reports the swept
   /// fraction, and is bitwise-identical to run_batch over the materialized
-  /// enumeration at every thread and lane count. space_limit == 0 sweeps
-  /// everything. Throws StatusError(kInvalidArgument) when no space is
-  /// bound.
+  /// enumeration at every thread count. space_limit == 0 sweeps everything.
+  /// Throws StatusError(kInvalidArgument) when no space is bound.
   SsfResult run_exhaustive(std::uint64_t space_limit = 0) const;
 
   /// Crash-safe variant of run_exhaustive(): completed enumeration-index
@@ -449,29 +452,61 @@ class SsfEvaluator {
       std::function<const faultsim::FaultSample*(std::size_t, std::size_t)>;
 
   /// Evaluates one wave, samples[0, n) into records[0, n), on the worker
-  /// pool: te-groups are formed across the whole wave, and the stop flag is
-  /// polled before every group. Returns the length of the contiguous
-  /// evaluated prefix (n unless the stop flag cut the wave). `base` is the
-  /// wave's first sample index, reported to on_sample and the trace.
+  /// pool: te-groups of up to kMaxLanes samples are formed across the whole
+  /// wave, and the stop flag is polled before every group. Returns the
+  /// length of the contiguous evaluated prefix (n unless the stop flag cut
+  /// the wave). `base` is the wave's first sample index, reported to
+  /// on_sample and the trace.
   std::size_t evaluate_wave(const faultsim::FaultSample* samples,
                             SampleRecord* records, std::size_t n,
                             std::size_t base,
                             std::vector<std::unique_ptr<EvalScratch>>& scratch,
                             WorkerObservers& observers) const;
-  /// Evaluates one te-group of batch-eligible samples (unit = their indices,
-  /// all sharing the same injection cycle) through the word-parallel path:
-  /// one restore + settle, one bit-parallel flip-set sweep, then per-lane
-  /// finalization with scalar-identical budget accounting. Lanes the batch
-  /// path cannot finish identically (non-budget exceptions) are replayed
-  /// through `scalar_eval`, the same per-sample evaluation the scalar
-  /// engine runs, so every record stays bitwise-identical to the scalar
-  /// baseline.
-  void evaluate_group(
-      const faultsim::FaultSample* samples, SampleRecord* records,
-      const std::vector<std::size_t>& unit, std::size_t base,
-      std::unique_ptr<EvalScratch>& scratch, MetricsSink* sink,
-      TraceBuffer* trace_buf, std::uint32_t worker,
-      const std::function<void(std::size_t, std::size_t)>& scalar_eval) const;
+  /// What the shared phase of a te-group leaves for its lanes' finalization.
+  struct GroupInjection {
+    /// False for a sample that lands before the program starts: masked,
+    /// te 0, nothing simulated.
+    bool injected = false;
+    std::uint64_t te = 0;
+    std::uint64_t warmup = 0;  // cycles restore_into ran past a checkpoint
+    std::uint64_t cycles = 0;  // injection cycles executed
+    /// Multi-cycle impact: the lane's errors are already overlaid on the
+    /// scratch machine (a group of one), instead of on a per-lane copy.
+    bool overlaid = false;
+  };
+  /// Shared phase of the te-group in sc.lane_samples_ (1..64 samples with
+  /// the same te, or one sample with impact_cycles > 1): validates every
+  /// lane, restores the checkpoint, settles each injection cycle at gate
+  /// level, computes every lane's flip set in one bit-parallel sweep, and
+  /// leaves each lane's flipped flat bits in sc.lane_bits_ (sorted, unique)
+  /// with sc.machine_ just past the injection cycle(s). Throws on an
+  /// invalid sample.
+  GroupInjection inject_group(EvalScratch& sc, MetricsSink* sink) const;
+  /// Finalizes lane `lane` of the group: replays the budget charges a
+  /// sample evaluated alone would see, and decides the outcome (RTL resume
+  /// on a copy of the shared machine for diverging lanes). Throws on budget
+  /// overruns and other per-lane failures.
+  SampleRecord finish_lane(EvalScratch& sc, const GroupInjection& group,
+                           std::size_t lane, MetricsSink* sink) const;
+  /// Second half of the isolation protocol for a sample whose evaluation
+  /// failed with (code, reason): retries it once as a group of one on a
+  /// fresh scratch (replacing `scratch`) unless the failure is a
+  /// deterministic budget overrun or retries are off, and otherwise returns
+  /// its kFailed record.
+  SampleRecord retry_or_fail(const faultsim::FaultSample& sample,
+                             ErrorCode code, std::string reason,
+                             std::unique_ptr<EvalScratch>& scratch,
+                             MetricsSink* sink) const;
+  /// Evaluates one te-group (unit = sample indices, see evaluate_wave)
+  /// with full isolation: inject_group once, finish_lane per lane, then a
+  /// retry_or_fail for each lane that threw — after every other lane is
+  /// final, because a retry may replace `scratch` and with it the shared
+  /// machine.
+  void evaluate_group(const faultsim::FaultSample* samples,
+                      SampleRecord* records,
+                      const std::vector<std::size_t>& unit, std::size_t base,
+                      std::unique_ptr<EvalScratch>& scratch, MetricsSink* sink,
+                      TraceBuffer* trace_buf, std::uint32_t worker) const;
   /// Per-sample completion: path timer and trace event (the span
   /// [start, start + dur)), progress tick and on_sample callback.
   void complete_sample(const SampleRecord& rec, std::size_t index,

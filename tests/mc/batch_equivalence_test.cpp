@@ -1,11 +1,13 @@
-// The word-parallel batching contract (DESIGN.md §6i): grouping samples by
-// injection cycle and evaluating up to 64 of them per bit-parallel sweep is
-// a pure scheduling change. Every SsfResult — records, fail codes, traces,
-// contributions — must be bitwise identical to the scalar path at every
-// lane count, thread count, and through journaled kill-and-resume.
+// The te-group contract (DESIGN.md §6i): every gate-evaluated sample runs
+// through the 64-lane group routine, and which samples share a group is a
+// pure scheduling decision. Every SsfResult — records, fail codes, traces,
+// contributions — must be bitwise identical to evaluating each sample alone
+// (a group of one) at every thread count and through journaled
+// kill-and-resume.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -95,12 +97,10 @@ void expect_bitwise_equal(const SsfResult& a, const SsfResult& b) {
   }
 }
 
-SsfResult run_with(std::size_t batch_lanes, std::size_t threads,
-                   std::uint64_t seed, std::size_t n,
+SsfResult run_with(std::size_t threads, std::uint64_t seed, std::size_t n,
                    MetricsSink* sink = nullptr,
                    std::uint64_t cycle_budget = 0) {
   EvaluatorConfig cfg;
-  cfg.batch_lanes = batch_lanes;
   cfg.threads = threads;
   cfg.metrics = sink;
   cfg.cycle_budget = cycle_budget;
@@ -111,41 +111,66 @@ SsfResult run_with(std::size_t batch_lanes, std::size_t threads,
   return ev.run(sampler, rng, n);
 }
 
-TEST(BatchEquivalence, LaneAndThreadCountsAreBitwiseIdentical) {
-  MetricsSink scalar_sink;
-  const SsfResult scalar =
-      run_with(/*batch_lanes=*/1, /*threads=*/1, 31, 300, &scalar_sink);
-  EXPECT_EQ(scalar_sink.counter("eval.batch_groups"), 0u);
+/// The reference: every sample of the batch evaluated alone, as a group of
+/// one (evaluate_sample_isolated), folded by the same reduction as a run.
+SsfResult evaluate_alone(const SsfEvaluator& ev, Sampler& sampler, Rng& rng,
+                         std::size_t n, MetricsSink* sink = nullptr) {
+  std::vector<SampleRecord> records;
+  auto scratch = std::make_unique<EvalScratch>(ev);
+  for (const faultsim::FaultSample& s : ev.draw_batch(sampler, rng, n)) {
+    records.push_back(ev.evaluate_sample_isolated(s, scratch, sink));
+  }
+  return ev.reduce_records(std::move(records));
+}
 
-  for (const std::size_t lanes : {2u, 7u, 64u}) {
-    for (const std::size_t threads : {1u, 4u}) {
-      SCOPED_TRACE("lanes=" + std::to_string(lanes) +
-                   " threads=" + std::to_string(threads));
-      MetricsSink sink;
-      const SsfResult batched = run_with(lanes, threads, 31, 300, &sink);
-      expect_bitwise_equal(batched, scalar);
-      // The runs above must actually exercise the batch path, not fall back.
-      EXPECT_GT(sink.counter("eval.batch_groups"), 0u);
-      EXPECT_GT(sink.counter("eval.batch_lanes"), 0u);
-      EXPECT_EQ(sink.counter("eval.batch_restore_saved"),
-                sink.counter("eval.batch_lanes") -
-                    sink.counter("eval.batch_groups"));
-    }
+SsfResult alone_with(std::uint64_t seed, std::size_t n,
+                     MetricsSink* sink = nullptr,
+                     std::uint64_t cycle_budget = 0) {
+  EvaluatorConfig cfg;
+  cfg.cycle_budget = cycle_budget;
+  const SsfEvaluator ev = ctx().make(cfg);
+  const auto attack = test_attack();
+  RandomSampler sampler(attack);
+  Rng rng(seed);
+  return evaluate_alone(ev, sampler, rng, n, sink);
+}
+
+TEST(BatchEquivalence, LaneAndThreadCountsAreBitwiseIdentical) {
+  MetricsSink alone_sink;
+  const SsfResult alone = alone_with(31, 300, &alone_sink);
+  // Alone, every sample is a group of one.
+  EXPECT_EQ(alone_sink.counter("eval.batch_groups"), 300u);
+  EXPECT_EQ(alone_sink.counter("eval.batch_lanes"), 300u);
+  EXPECT_EQ(alone_sink.counter("eval.batch_restore_saved"), 0u);
+
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    MetricsSink sink;
+    const SsfResult grouped = run_with(threads, 31, 300, &sink);
+    expect_bitwise_equal(grouped, alone);
+    // The run must actually share groups, not evaluate samples one by one.
+    EXPECT_GT(sink.counter("eval.batch_groups"), 0u);
+    EXPECT_EQ(sink.counter("eval.batch_lanes"), 300u);
+    EXPECT_LT(sink.counter("eval.batch_groups"), 300u / 4);
+    EXPECT_EQ(sink.counter("eval.batch_restore_saved"),
+              sink.counter("eval.batch_lanes") -
+                  sink.counter("eval.batch_groups"));
   }
 }
 
 TEST(BatchEquivalence, CycleBudgetFailuresAreIdenticalLaneForLane) {
   // A tight budget makes some samples fail deterministically with
-  // kCycleBudgetExceeded. The batch path replays the scalar budget charges
-  // per lane, so the same samples must fail with the same code and reason.
+  // kCycleBudgetExceeded. Each lane replays the charges of a sample
+  // evaluated alone, so the same samples must fail with the same code and
+  // reason.
   const std::uint64_t budget = 20;
-  const SsfResult scalar = run_with(1, 1, 47, 256, nullptr, budget);
-  ASSERT_GT(scalar.failed, 0u);  // the scenario must actually trigger
-  ASSERT_LT(scalar.failed, 256u);
+  const SsfResult alone = alone_with(47, 256, nullptr, budget);
+  ASSERT_GT(alone.failed, 0u);  // the scenario must actually trigger
+  ASSERT_LT(alone.failed, 256u);
   for (const std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    const SsfResult batched = run_with(64, threads, 47, 256, nullptr, budget);
-    expect_bitwise_equal(batched, scalar);
+    const SsfResult grouped = run_with(threads, 47, 256, nullptr, budget);
+    expect_bitwise_equal(grouped, alone);
   }
 }
 
@@ -155,31 +180,31 @@ TEST(BatchEquivalence, ClockGlitchTechniqueBatchesBitwiseIdentically) {
   model.t_max = 10;
   model.depths = {0.35, 0.55};
 
-  EvaluatorConfig scalar_cfg;
-  scalar_cfg.batch_lanes = 1;
-  const SsfEvaluator scalar_base = ctx().make(scalar_cfg);
-  ClockGlitchEvaluator scalar_ev(scalar_base, ctx().soc, ctx().glitch);
-  Rng scalar_rng(9);
-  const SsfResult scalar = scalar_ev.run(model, scalar_rng, 300);
+  const SsfEvaluator alone_base = ctx().make({});
+  const ClockGlitchEvaluator alone_ev(alone_base, ctx().soc, ctx().glitch);
+  GlitchSampler alone_sampler(model, alone_ev.engine().target_cycle());
+  Rng alone_rng(9);
+  const SsfResult alone =
+      evaluate_alone(alone_ev.engine(), alone_sampler, alone_rng, 300);
 
   for (const std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     EvaluatorConfig cfg;
-    cfg.batch_lanes = 64;
     cfg.threads = threads;
     const SsfEvaluator base = ctx().make(cfg);
     ClockGlitchEvaluator ev(base, ctx().soc, ctx().glitch);
     Rng rng(9);
-    expect_bitwise_equal(ev.run(model, rng, 300), scalar);
+    expect_bitwise_equal(ev.run(model, rng, 300), alone);
   }
 }
 
 TEST(BatchEquivalence, JournaledKillAndResumeAcrossLaneCounts) {
-  // A batched campaign killed mid-run (journal torn back to a prefix, as
-  // SIGKILL leaves it) and resumed with a *different* lane count must still
-  // reproduce the scalar un-journaled run bit for bit: the journal carries
-  // records, not batching decisions.
-  const SsfResult reference = run_with(1, 1, 53, 200);
+  // A campaign killed mid-run (journal torn back to a prefix, as SIGKILL
+  // leaves it) and resumed at a *different* thread count must still
+  // reproduce every sample evaluated alone, bit for bit. The resumed run's
+  // waves start at the torn prefix, so its te-groups hold different lanes
+  // than the first run's: the journal carries records, not grouping.
+  const SsfResult reference = alone_with(53, 200);
 
   const std::string dir = fresh_dir("resume_lanes");
   JournalOptions options;
@@ -190,7 +215,6 @@ TEST(BatchEquivalence, JournaledKillAndResumeAcrossLaneCounts) {
 
   {
     EvaluatorConfig cfg;
-    cfg.batch_lanes = 64;
     cfg.threads = 2;
     const SsfEvaluator ev = ctx().make(cfg);
     const auto attack = test_attack();
@@ -204,7 +228,6 @@ TEST(BatchEquivalence, JournaledKillAndResumeAcrossLaneCounts) {
   fs::resize_file(file, fs::file_size(file) * 2 / 5);
 
   EvaluatorConfig cfg;
-  cfg.batch_lanes = 2;
   cfg.threads = 4;
   const SsfEvaluator ev = ctx().make(cfg);
   const auto attack = test_attack();
@@ -214,6 +237,61 @@ TEST(BatchEquivalence, JournaledKillAndResumeAcrossLaneCounts) {
   Result<SsfResult> resumed = ev.run_journaled(sampler, rng, 200, options);
   ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
   expect_bitwise_equal(resumed.value(), reference);
+}
+
+TEST(BatchEquivalence, RetriedLaneLeavesItsGroupIntact) {
+  // Regression: a lane whose finalization failed with a retryable error
+  // used to be re-evaluated on its group's own scratch while the group was
+  // still being finished. That overwrote the shared post-injection machine
+  // every later diverging lane copies (so their records were silently
+  // wrong), and when the re-evaluation was retried on a fresh scratch the
+  // group went on reading the freed one. Trigger: the clock glitch at t 4,
+  // depth 0.8 keeps the program from halting, so against a benchmark whose
+  // max_cycles is far past the golden run its resume always runs into the
+  // wall-clock deadline; the other depths at t 4 flip bits and resume for a
+  // few dozen cycles, far below the deadline.
+  soc::SecurityBenchmark unbounded = ctx().bench;
+  unbounded.max_cycles = ctx().bench.max_cycles * 10'000'000;
+  const faultsim::ClockGlitchTechnique technique(ctx().glitch);
+  std::vector<faultsim::FaultSample> samples;
+  for (const double depth : {0.8, 0.3, 0.5, 0.7, 0.9}) {
+    faultsim::FaultSample s;
+    s.technique = faultsim::TechniqueKind::kClockGlitch;
+    s.t = 4;
+    s.depth = depth;
+    samples.push_back(s);
+  }
+  for (const bool retry : {false, true}) {
+    SCOPED_TRACE(retry ? "retry on" : "retry off");
+    EvaluatorConfig cfg;
+    cfg.sample_deadline_ms = 100;
+    cfg.retry_failed = retry;
+    const SsfEvaluator ev(ctx().soc, technique, unbounded, ctx().golden,
+                          nullptr, cfg);
+    const SsfResult grouped = ev.run_batch(samples);
+    ASSERT_EQ(grouped.records.size(), samples.size());
+    EXPECT_EQ(grouped.records[0].fail_code, ErrorCode::kDeadlineExceeded);
+    EXPECT_EQ(grouped.records[0].retried, retry);
+    auto scratch = std::make_unique<EvalScratch>(ev);
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      const SampleRecord alone =
+          ev.evaluate_sample_isolated(samples[i], scratch);
+      const SampleRecord& rec = grouped.records[i];
+      EXPECT_EQ(rec.te, alone.te) << i;
+      EXPECT_EQ(rec.flipped_bits, alone.flipped_bits) << i;
+      EXPECT_EQ(rec.path, alone.path) << i;
+      EXPECT_EQ(rec.success, alone.success) << i;
+      EXPECT_EQ(rec.contribution, alone.contribution) << i;
+      EXPECT_EQ(rec.fail_code, alone.fail_code) << i;
+      EXPECT_EQ(rec.fail_reason, alone.fail_reason) << i;
+      EXPECT_EQ(rec.retried, alone.retried) << i;
+    }
+    // The later lanes must diverge, or the shared machine is never read.
+    for (std::size_t i = 1; i < 4; ++i) {
+      EXPECT_FALSE(grouped.records[i].flipped_bits.empty()) << i;
+      EXPECT_EQ(grouped.records[i].path, OutcomePath::kRtl) << i;
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Technique-generic exhaustive fault-space sweeps (DESIGN.md §6l): the
 // streamed enumeration must be bitwise-identical to run_batch over the
-// materialized space at every thread and lane count, agree with the
+// materialized space at every thread count, agree with the
 // importance-sampled Monte Carlo estimate, carry coverage accounting, and
 // survive kill + resume through the journal — for radiation, clock-glitch
 // and voltage-glitch techniques alike.
@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -73,15 +74,16 @@ faultsim::VoltageGlitchAttackModel voltage_model() {
   return model;
 }
 
-/// Small radiation grid: a strided subset of the placement as the sub-block,
-/// a short timing window, and the strike instant pinned to the {0.0} grid so
-/// the sampled and exhaustive estimands coincide.
+/// Small radiation grid: a strided subset of the placement as the sub-block
+/// (more than one 64-lane group's worth of centers per t), a short timing
+/// window, and the strike instant pinned to the {0.0} grid so the sampled
+/// and exhaustive estimands coincide.
 faultsim::AttackModel radiation_model() {
   faultsim::AttackModel attack;
   attack.t_min = 0;
   attack.t_max = 9;
   const auto& nodes = ctx().placement.placed_nodes();
-  for (std::size_t i = 0; i < nodes.size(); i += 150) {
+  for (std::size_t i = 0; i < nodes.size(); i += 100) {
     attack.candidate_centers.push_back(nodes[i]);
   }
   attack.strike_fracs = {0.0};
@@ -118,6 +120,20 @@ void expect_bitwise_equal(const SsfResult& a, const SsfResult& b) {
     EXPECT_EQ(a.records[i].path, b.records[i].path) << i;
     EXPECT_EQ(a.records[i].contribution, b.records[i].contribution) << i;
   }
+}
+
+/// Every point of the bound space evaluated alone, as a group of one
+/// (evaluate_sample_isolated), folded by the same reduction as a sweep.
+SsfResult sweep_alone(const faultsim::AttackTechnique& technique) {
+  std::vector<faultsim::FaultSample> points;
+  technique.enumerate(0, technique.space_size(), points);
+  const SsfEvaluator engine = ctx().make(technique);
+  std::vector<SampleRecord> records;
+  auto scratch = std::make_unique<EvalScratch>(engine);
+  for (const faultsim::FaultSample& s : points) {
+    records.push_back(engine.evaluate_sample_isolated(s, scratch));
+  }
+  return engine.reduce_records(std::move(records));
 }
 
 TEST(ExhaustiveSweep, UnboundSpaceIsRejected) {
@@ -168,36 +184,29 @@ TEST(ExhaustiveSweep, SpaceLimitCapsCoverage) {
 
 TEST(ExhaustiveSweep, RadiationBitwiseAcrossThreadsAndLanesWithin3Sigma) {
   // The exhaustive radiation sweep is the exact mean over the bound grid:
-  // every (threads, lanes) configuration must reproduce it bit for bit, and
-  // the importance-sampled Monte Carlo estimate over the same holistic model
-  // must agree within its own 3-sigma interval.
+  // the sweep at every thread count must reproduce every point evaluated
+  // alone (a group of one) bit for bit — each t holds more points than one
+  // group takes, so the sweep also seals full groups and splits each te —
+  // and the importance-sampled Monte Carlo estimate over the same holistic
+  // model must agree within its own 3-sigma interval.
   const faultsim::AttackModel attack = radiation_model();
   faultsim::RadiationTechnique technique(ctx().placement, ctx().injector);
   technique.bind_space(attack);
   const std::uint64_t space = technique.space_size();
   ASSERT_EQ(space, static_cast<std::uint64_t>(attack.t_count()) *
                        attack.candidate_centers.size());
+  ASSERT_GT(attack.candidate_centers.size(), SsfEvaluator::kMaxLanes);
+  const SsfResult reference = sweep_alone(technique);
 
-  SsfResult reference;
-  bool have_reference = false;
   for (const std::size_t threads : {1u, 4u}) {
-    for (const std::size_t lanes : {1u, 64u}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " lanes=" + std::to_string(lanes));
-      EvaluatorConfig cfg;
-      cfg.threads = threads;
-      cfg.batch_lanes = lanes;
-      const SsfEvaluator engine = ctx().make(technique, cfg);
-      SsfResult result = engine.run_exhaustive();
-      EXPECT_EQ(result.evaluated, space);
-      EXPECT_DOUBLE_EQ(result.coverage(), 1.0);
-      if (!have_reference) {
-        reference = std::move(result);
-        have_reference = true;
-      } else {
-        expect_bitwise_equal(result, reference);
-      }
-    }
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EvaluatorConfig cfg;
+    cfg.threads = threads;
+    const SsfEvaluator engine = ctx().make(technique, cfg);
+    const SsfResult result = engine.run_exhaustive();
+    EXPECT_EQ(result.evaluated, space);
+    EXPECT_DOUBLE_EQ(result.coverage(), 1.0);
+    expect_bitwise_equal(result, reference);
   }
 
   precharac::SamplingModel model(ctx().soc, ctx().placement, ctx().cone,

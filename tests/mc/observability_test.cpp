@@ -270,15 +270,5 @@ TEST(Observability, JournaledRunRecordsJournalMetrics) {
                 static_cast<double>(metrics.counter("eval.batch_groups")));
 }
 
-TEST(Observability, ScalarRunReportsNoLaneOccupancy) {
-  MetricsSink metrics;
-  EvaluatorConfig cfg;
-  cfg.metrics = &metrics;
-  cfg.batch_lanes = 1;
-  run_with(cfg);
-  EXPECT_EQ(metrics.counter("eval.batch_groups"), 0u);
-  EXPECT_EQ(metrics.gauge("eval.lane_occupancy"), nullptr);
-}
-
 }  // namespace
 }  // namespace fav::mc

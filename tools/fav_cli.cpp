@@ -42,8 +42,8 @@
 //                                  --samples/--strategy are ignored; the
 //                                  result is the exact SSF with
 //                                  coverage 1.0, bitwise-identical at every
-//                                  --threads/--batch-lanes/--supervise
-//                                  setting and across kill + --resume
+//                                  --threads/--supervise setting and across
+//                                  kill + --resume
 //   --space-limit N               cap an --exhaustive sweep at the first N
 //                                  enumeration indices (coverage < 1.0;
 //                                  mainly for smoke tests)
@@ -55,10 +55,6 @@
 //   --threads N                   (default 1; 0 = all hardware threads.
 //                                  Estimates are bitwise-identical for every
 //                                  N — see DESIGN.md, parallel engine)
-//   --batch-lanes N               (default 64; 0/1 = scalar) word-parallel
-//                                  lanes for same-injection-cycle samples.
-//                                  Results are bitwise-identical for every
-//                                  N — batching only changes throughput
 //   --cycle-budget N              per-sample RTL cycle budget (0 = unlimited)
 //   --deadline-ms N               per-sample wall-clock deadline (0 = none;
 //                                  trades determinism for hang protection)
@@ -192,7 +188,6 @@ struct Options {
   double radius = 1.5;
   double coverage = 0.95;
   std::size_t threads = 1;
-  std::size_t batch_lanes = 64;
   std::uint64_t cycle_budget = 0;
   std::uint64_t deadline_ms = 0;
   // Capped by default: a capacity-less 1e6+-sample campaign keeps every
@@ -227,7 +222,6 @@ struct Options {
     cfg.mode = exhaustive ? "exhaustive" : "sampled";
     cfg.precharac_cache_path = precharac_cache;
     cfg.evaluator.threads = threads;
-    cfg.evaluator.batch_lanes = batch_lanes;
     cfg.evaluator.cycle_budget = cycle_budget;
     cfg.evaluator.sample_deadline_ms = deadline_ms;
     cfg.evaluator.record_capacity = record_capacity;
@@ -265,7 +259,6 @@ void print_usage(const std::string& message) {
                "         --radius R  --coverage C  --out FILE\n"
                "         --record-capacity N (0 = unlimited)\n"
                "         --threads N (0 = all hardware threads)\n"
-               "         --batch-lanes N (0/1 = scalar, default 64)\n"
                "         --cycle-budget N  --deadline-ms N (0 = unlimited)\n"
                "         --journal DIR  --resume (evaluate only)\n"
                "         --precharac-cache PATH  --no-precharac-cache\n"
@@ -376,8 +369,6 @@ Options parse(const std::vector<std::string>& args) {
       o.coverage = parse_double(arg, value(), 1e-9, 1.0);
     } else if (arg == "--threads") {
       o.threads = parse_u64(arg, value(), 0, 4096);
-    } else if (arg == "--batch-lanes") {
-      o.batch_lanes = parse_u64(arg, value(), 0, 64);
     } else if (arg == "--cycle-budget") {
       o.cycle_budget = parse_u64(arg, value(), 0, UINT64_MAX);
     } else if (arg == "--deadline-ms") {
@@ -613,7 +604,6 @@ std::vector<std::string> worker_command(const Options& o) {
       "--cycle-budget", std::to_string(o.cycle_budget),
       "--deadline-ms", std::to_string(o.deadline_ms),
       "--threads", std::to_string(o.threads),
-      "--batch-lanes", std::to_string(o.batch_lanes),
       "--record-capacity", "0",
       "--journal", o.journal};
   if (o.exhaustive) {
@@ -993,7 +983,6 @@ CampaignOutput run_evaluate_campaign(const Options& o, bool local_files,
     in.samples = eval.total;
     in.seed = o.seed;
     in.threads = o.threads;
-    in.batch_lanes = o.batch_lanes;
     in.supervise = o.supervise;
     in.supervised = eval.supervised;
     in.restarts = eval.restarts;
