@@ -2,13 +2,13 @@
 //
 // The paper's model is technique-parameterized: an attack outcome is a joint
 // sample of the timing distance t and a technique parameter vector p — for
-// radiation p = [g, r] (spot center, radius), for a clock glitch p = [d]
-// (glitch depth). FaultSample is the generalized carrier: it holds t, the
-// importance weight, and the union of per-technique parameter fields, tagged
-// by TechniqueKind so samples, journal frames, and SampleRecords flow through
-// the evaluation pipeline unchanged regardless of technique (see
-// faultsim/technique.h for the AttackTechnique interface that interprets
-// them).
+// radiation p = [g, r] (spot center, radius), for a timing glitch p = [d]
+// (clock-glitch depth or voltage droop, see faultsim/glitch.h). FaultSample
+// is the generalized carrier: it holds t, the importance weight, and the
+// union of per-technique parameter fields, tagged by TechniqueKind so
+// samples, journal frames, and SampleRecords flow through the evaluation
+// pipeline unchanged regardless of technique (see faultsim/technique.h for
+// the AttackTechnique interface that interprets them).
 //
 // Radiation parameters:
 //   center      — radiation spot center cell g,
@@ -16,8 +16,9 @@
 //   strike_frac — intra-cycle hit instant as a fraction of the clock period
 //                 (sub-cycle technique variation; uniform under every
 //                 strategy, so it cancels from importance weights).
-// Clock-glitch parameters:
-//   depth       — shortened period as a fraction of the nominal period.
+// Timing-glitch parameters (clock and voltage glitch):
+//   depth       — the glitch level: the shortened period as a fraction of
+//                 the nominal period (clock), or the supply droop (voltage).
 // Following the paper, T and P are uniform over ranges centered at the
 // attacker's intended target; the ranges encode the temporal accuracy and
 // parameter variation of the concrete technique (Fig. 11 sweeps them).

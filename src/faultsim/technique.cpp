@@ -40,10 +40,6 @@ RadiationTechnique::RadiationTechnique(const layout::Placement& placement,
                                        const InjectionSimulator& injector)
     : placement_(&placement), injector_(&injector) {}
 
-std::string RadiationTechnique::parameter_space() const {
-  return "p = [center, radius, strike_frac] (radiated spot)";
-}
-
 void RadiationTechnique::check_sample(const FaultSample& sample) const {
   check_common(sample);
   FAV_ENSURE_MSG(sample.radius >= 0.0, "negative spot radius");
@@ -110,20 +106,19 @@ void RadiationTechnique::enumerate(std::uint64_t begin, std::uint64_t end,
   }
 }
 
-ClockGlitchTechnique::ClockGlitchTechnique(const ClockGlitchSimulator& glitch)
-    : glitch_(&glitch) {}
-
-std::string ClockGlitchTechnique::parameter_space() const {
-  return "p = [depth] (glitched-period fraction)";
+GlitchTechnique::GlitchTechnique(const GlitchSimulator& simulator,
+                                 TechniqueKind kind)
+    : simulator_(&simulator), kind_(kind), space_(kind) {
+  glitch_strings(kind);  // rejects a non-glitch kind
 }
 
-void ClockGlitchTechnique::check_sample(const FaultSample& sample) const {
+void GlitchTechnique::check_sample(const FaultSample& sample) const {
   check_common(sample);
   FAV_ENSURE_MSG(sample.depth > 0.0 && sample.depth < 1.0,
-                 "depth must be in (0, 1)");
+                 glitch_strings(kind_).sample_range);
 }
 
-void ClockGlitchTechnique::flip_set(
+void GlitchTechnique::flip_set(
     const netlist::WordSimulator& sim, TechniqueScratch& scratch,
     std::span<const FaultSample> samples,
     std::vector<std::vector<netlist::NodeId>>& flipped) const {
@@ -132,86 +127,11 @@ void ClockGlitchTechnique::flip_set(
   FAV_ENSURE_MSG(lanes >= 1 && lanes <= 64, "lane count must be in [1, 64]");
   flipped.resize(lanes);
   for (auto& f : flipped) f.clear();
-  const auto& timing = glitch_->timing();
+  for (const FaultSample& s : samples) check_sample(s);
+  const auto& timing = simulator_->timing();
   const double nominal = timing.clock_period();
   const double setup = timing.model().setup_time;
-  for (std::size_t l = 0; l < lanes; ++l) {
-    FAV_ENSURE_MSG(nominal * samples[l].depth > 0.0,
-                   "glitch period must be positive");
-  }
-  const auto& nl = sim.netlist();
-  for (const netlist::NodeId dff : nl.dffs()) {
-    const netlist::NodeId d = nl.node(dff).fanins[0];
-    // A register flips only where its new D differs from the held Q; skip
-    // the per-lane timing test entirely when no lane sees a difference.
-    const std::uint64_t diff = sim.word(d) ^ sim.word(dff);
-    if (diff == 0) continue;
-    const double needed = timing.arrival(d) + setup;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      if (((diff >> l) & 1u) == 0) continue;
-      if (needed > nominal * samples[l].depth) flipped[l].push_back(dff);
-    }
-  }
-  // dffs() is ascending, so each lane's list is already sorted and unique.
-}
-
-void ClockGlitchTechnique::bind_space(const ClockGlitchAttackModel& model) {
-  model.check_valid();
-  space_ = model;
-  has_space_ = true;
-}
-
-std::uint64_t ClockGlitchTechnique::space_size() const {
-  if (!has_space_) return 0;
-  return static_cast<std::uint64_t>(space_.t_count()) * space_.depths.size();
-}
-
-void ClockGlitchTechnique::enumerate(std::uint64_t begin, std::uint64_t end,
-                                     std::vector<FaultSample>& out) const {
-  check_enumeration_range(begin, end, space_size());
-  out.clear();
-  out.reserve(end - begin);
-  const std::uint64_t depths = space_.depths.size();
-  for (std::uint64_t i = begin; i < end; ++i) {
-    FaultSample s;
-    s.technique = TechniqueKind::kClockGlitch;
-    s.t = space_.t_min + static_cast<int>(i / depths);
-    s.depth = space_.depths[i % depths];
-    s.weight = 1.0;
-    out.push_back(s);
-  }
-}
-
-VoltageGlitchTechnique::VoltageGlitchTechnique(
-    const VoltageGlitchSimulator& droop)
-    : droop_(&droop) {}
-
-std::string VoltageGlitchTechnique::parameter_space() const {
-  return "p = [droop] (supply-droop severity)";
-}
-
-void VoltageGlitchTechnique::check_sample(const FaultSample& sample) const {
-  check_common(sample);
-  FAV_ENSURE_MSG(sample.depth > 0.0 && sample.depth < 1.0,
-                 "droop must be in (0, 1)");
-}
-
-void VoltageGlitchTechnique::flip_set(
-    const netlist::WordSimulator& sim, TechniqueScratch& scratch,
-    std::span<const FaultSample> samples,
-    std::vector<std::vector<netlist::NodeId>>& flipped) const {
-  (void)scratch;
-  const std::size_t lanes = samples.size();
-  FAV_ENSURE_MSG(lanes >= 1 && lanes <= 64, "lane count must be in [1, 64]");
-  flipped.resize(lanes);
-  for (auto& f : flipped) f.clear();
-  const auto& timing = droop_->timing();
-  const double nominal = timing.clock_period();
-  const double setup = timing.model().setup_time;
-  for (std::size_t l = 0; l < lanes; ++l) {
-    FAV_ENSURE_MSG(samples[l].depth > 0.0 && samples[l].depth < 1.0,
-                   "droop must be in (0, 1)");
-  }
+  const bool clock = kind_ == TechniqueKind::kClockGlitch;
   const auto& nl = sim.netlist();
   for (const netlist::NodeId dff : nl.dffs()) {
     const netlist::NodeId d = nl.node(dff).fanins[0];
@@ -222,36 +142,42 @@ void VoltageGlitchTechnique::flip_set(
     const double arrival = timing.arrival(d);
     for (std::size_t l = 0; l < lanes; ++l) {
       if (((diff >> l) & 1u) == 0) continue;
-      if (arrival / (1.0 - samples[l].depth) + setup > nominal) {
-        flipped[l].push_back(dff);
-      }
+      // The setup-miss predicate of each kind (see faultsim/glitch.h).
+      const double level = samples[l].depth;
+      const bool misses = clock ? arrival + setup > nominal * level
+                                : arrival / (1.0 - level) + setup > nominal;
+      if (misses) flipped[l].push_back(dff);
     }
   }
   // dffs() is ascending, so each lane's list is already sorted and unique.
 }
 
-void VoltageGlitchTechnique::bind_space(const VoltageGlitchAttackModel& model) {
+void GlitchTechnique::bind_space(const GlitchAttackModel& model) {
   model.check_valid();
+  FAV_ENSURE_MSG(model.kind == kind_,
+                 "a '" << technique_kind_name(model.kind)
+                       << "' model cannot bind the '" << name()
+                       << "' fault space");
   space_ = model;
   has_space_ = true;
 }
 
-std::uint64_t VoltageGlitchTechnique::space_size() const {
+std::uint64_t GlitchTechnique::space_size() const {
   if (!has_space_) return 0;
-  return static_cast<std::uint64_t>(space_.t_count()) * space_.droops.size();
+  return static_cast<std::uint64_t>(space_.t_count()) * space_.levels.size();
 }
 
-void VoltageGlitchTechnique::enumerate(std::uint64_t begin, std::uint64_t end,
-                                       std::vector<FaultSample>& out) const {
+void GlitchTechnique::enumerate(std::uint64_t begin, std::uint64_t end,
+                                std::vector<FaultSample>& out) const {
   check_enumeration_range(begin, end, space_size());
   out.clear();
   out.reserve(end - begin);
-  const std::uint64_t droops = space_.droops.size();
+  const std::uint64_t levels = space_.levels.size();
   for (std::uint64_t i = begin; i < end; ++i) {
     FaultSample s;
-    s.technique = TechniqueKind::kVoltageGlitch;
-    s.t = space_.t_min + static_cast<int>(i / droops);
-    s.depth = space_.droops[i % droops];
+    s.technique = kind_;
+    s.t = space_.t_min + static_cast<int>(i / levels);
+    s.depth = space_.levels[i % levels];
     s.weight = 1.0;
     out.push_back(s);
   }

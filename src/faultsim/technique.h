@@ -24,13 +24,11 @@
 #pragma once
 
 #include <span>
-#include <string>
 #include <vector>
 
 #include "faultsim/attack_model.h"
-#include "faultsim/clock_glitch.h"
+#include "faultsim/glitch.h"
 #include "faultsim/injection.h"
-#include "faultsim/voltage_glitch.h"
 #include "layout/placement.h"
 #include "netlist/logicsim.h"
 
@@ -50,10 +48,6 @@ class AttackTechnique {
 
   virtual TechniqueKind kind() const = 0;
   const char* name() const { return technique_kind_name(kind()); }
-
-  /// Human-readable description of the technique parameter vector p — which
-  /// FaultSample fields carry it — for logs and run reports.
-  virtual std::string parameter_space() const = 0;
 
   /// Validates the sample against this technique's parameter space. Throws
   /// EnsureError on a foreign technique tag or out-of-range parameters; the
@@ -122,7 +116,6 @@ class RadiationTechnique final : public AttackTechnique {
                      const InjectionSimulator& injector);
 
   TechniqueKind kind() const override { return TechniqueKind::kRadiation; }
-  std::string parameter_space() const override;
   void check_sample(const FaultSample& sample) const override;
   void flip_set(const netlist::WordSimulator& sim, TechniqueScratch& scratch,
                 std::span<const FaultSample> samples,
@@ -148,67 +141,40 @@ class RadiationTechnique final : public AttackTechnique {
   bool has_space_ = false;
 };
 
-/// The clock-glitch instance p = [d]: one shortened cycle makes registers
-/// whose D input has not settled hold their previous value (see
-/// faultsim/clock_glitch.h). No spatial parameters; the flip set is a
-/// deterministic function of (cycle, depth), which makes exact SSF
+/// The timing-glitch instances p = [level] (see faultsim/glitch.h): a
+/// clock glitch shortens one cycle to `depth` x the nominal period, a voltage
+/// glitch scales every gate delay by 1/(1 - droop) for one cycle; registers
+/// that then miss setup hold their previous value. The level rides in
+/// FaultSample::depth for both kinds, so journal frames and the supervisor
+/// wire protocol carry it unchanged. No spatial parameters; the flip set is
+/// a deterministic function of (cycle, level), which makes exact SSF
 /// enumeration feasible (bind_space + mc::SsfEvaluator::run_exhaustive).
-class ClockGlitchTechnique final : public AttackTechnique {
+class GlitchTechnique final : public AttackTechnique {
  public:
-  /// The simulator must outlive the technique.
-  explicit ClockGlitchTechnique(const ClockGlitchSimulator& glitch);
+  /// `kind` is kClockGlitch or kVoltageGlitch. The simulator must outlive
+  /// the technique.
+  GlitchTechnique(const GlitchSimulator& simulator, TechniqueKind kind);
 
-  TechniqueKind kind() const override { return TechniqueKind::kClockGlitch; }
-  std::string parameter_space() const override;
+  TechniqueKind kind() const override { return kind_; }
   void check_sample(const FaultSample& sample) const override;
   void flip_set(const netlist::WordSimulator& sim, TechniqueScratch& scratch,
                 std::span<const FaultSample> samples,
                 std::vector<std::vector<netlist::NodeId>>& flipped)
       const override;
 
-  const ClockGlitchSimulator& simulator() const { return *glitch_; }
+  const GlitchSimulator& simulator() const { return *simulator_; }
 
-  /// Binds the enumerable space: the model's full (t, depth) grid.
-  void bind_space(const ClockGlitchAttackModel& model);
+  /// Binds the enumerable space: the model's full (t, level) grid. The
+  /// model's kind must be this technique's.
+  void bind_space(const GlitchAttackModel& model);
   std::uint64_t space_size() const override;
   void enumerate(std::uint64_t begin, std::uint64_t end,
                  std::vector<FaultSample>& out) const override;
 
  private:
-  const ClockGlitchSimulator* glitch_;
-  ClockGlitchAttackModel space_;
-  bool has_space_ = false;
-};
-
-/// The voltage-glitch instance p = [droop]: one cycle of supply droop scales
-/// every gate delay by 1/(1-droop), so registers whose scaled D arrival
-/// misses setup against the nominal period hold their previous value (see
-/// faultsim/voltage_glitch.h). The droop severity rides in FaultSample::depth
-/// so journal frames and the supervisor wire protocol carry it unchanged.
-class VoltageGlitchTechnique final : public AttackTechnique {
- public:
-  /// The simulator must outlive the technique.
-  explicit VoltageGlitchTechnique(const VoltageGlitchSimulator& droop);
-
-  TechniqueKind kind() const override { return TechniqueKind::kVoltageGlitch; }
-  std::string parameter_space() const override;
-  void check_sample(const FaultSample& sample) const override;
-  void flip_set(const netlist::WordSimulator& sim, TechniqueScratch& scratch,
-                std::span<const FaultSample> samples,
-                std::vector<std::vector<netlist::NodeId>>& flipped)
-      const override;
-
-  const VoltageGlitchSimulator& simulator() const { return *droop_; }
-
-  /// Binds the enumerable space: the model's full (t, droop) grid.
-  void bind_space(const VoltageGlitchAttackModel& model);
-  std::uint64_t space_size() const override;
-  void enumerate(std::uint64_t begin, std::uint64_t end,
-                 std::vector<FaultSample>& out) const override;
-
- private:
-  const VoltageGlitchSimulator* droop_;
-  VoltageGlitchAttackModel space_;
+  const GlitchSimulator* simulator_;
+  TechniqueKind kind_;
+  GlitchAttackModel space_;
   bool has_space_ = false;
 };
 

@@ -15,7 +15,7 @@
 
 #include <map>
 
-#include "faultsim/clock_glitch.h"
+#include "faultsim/glitch.h"
 #include "mc/evaluator.h"
 
 namespace fav::mc {
@@ -65,32 +65,35 @@ class AdaptiveImportanceSampler final : public Sampler {
   DiscreteDistribution stratum_dist_;
 };
 
-/// Adaptive refit for the clock-glitch technique. The attack space is a
-/// small finite (t, depth) grid, so no stratification is needed: the refit
-/// distribution puts smoothing + pilot success mass on every cell and mixes
-/// defensively with the uniform f, and samples carry exact f/g weights.
+/// Adaptive refit for a timing-glitch technique (either kind). The attack
+/// space is a small finite (t, level) grid, so no stratification is needed:
+/// the refit distribution puts smoothing + pilot success mass on every cell
+/// and mixes defensively with the uniform f, and samples carry exact f/g
+/// weights. Samples are tagged with the model's kind and the sampler is
+/// named after it ("glitch-adaptive" / "voltage-adaptive").
 class AdaptiveGlitchSampler final : public Sampler {
  public:
   /// Builds the refit grid from `pilot` (a glitch run with keep_records on).
-  /// Throws if the pilot contains no successes — nothing to adapt to; keep
-  /// using the uniform GlitchSampler instead.
-  AdaptiveGlitchSampler(const faultsim::ClockGlitchAttackModel& model,
+  /// Only successful pilot records of the model's kind at an on-grid level
+  /// contribute. Throws if the pilot contains no successes — nothing to
+  /// adapt to; keep using the uniform GlitchSampler instead.
+  AdaptiveGlitchSampler(const faultsim::GlitchAttackModel& model,
                         std::uint64_t target_cycle, const SsfResult& pilot,
                         const AdaptiveConfig& config = {});
 
   faultsim::FaultSample draw(Rng& rng) override;
   const std::string& name() const override { return name_; }
 
-  /// Joint pmf over (t, depth index) including the defensive mixture.
-  double g_pmf(int t, std::size_t depth_index) const;
+  /// Joint pmf over (t, level index) including the defensive mixture.
+  double g_pmf(int t, std::size_t level_index) const;
 
  private:
-  std::size_t cell_of(int t, std::size_t depth_index) const;
+  std::size_t cell_of(int t, std::size_t level_index) const;
 
-  faultsim::ClockGlitchAttackModel model_;
+  faultsim::GlitchAttackModel model_;
   AdaptiveConfig config_;
-  std::string name_ = "glitch-adaptive";
-  DiscreteDistribution cell_dist_;  // over the flattened (t, depth) grid
+  std::string name_;
+  DiscreteDistribution cell_dist_;  // over the flattened (t, level) grid
 };
 
 }  // namespace fav::mc

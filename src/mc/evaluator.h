@@ -5,7 +5,8 @@
 //      checkpoint and warm up to Te,
 //   2. hand the state to the gate level, settle the injection cycle, and ask
 //      the AttackTechnique for the latched bit errors its parameters p cause
-//      (radiation: transient simulation; clock glitch: setup-miss analysis),
+//      (radiation: transient simulation; clock or voltage glitch:
+//      setup-miss analysis),
 //   3. if no bits flipped            -> masked, e = 0,
 //      if only memory-type bits flip -> analytical evaluation,
 //      otherwise                     -> inject the errors back into the RTL

@@ -84,10 +84,11 @@ bool decode_message(std::string_view payload, WireMessage* out) {
       if (!get_le(payload, &off, &out->index) ||
           !get_le(payload, &off, &out->contribution) ||
           !get_le(payload, &off, &out->weight) ||
-          !get_le(payload, &off, &failed) || off != payload.size()) {
+          !get_le(payload, &off, &failed) || failed > 1 ||
+          off != payload.size()) {
         return false;
       }
-      out->failed = failed != 0;
+      out->failed = failed == 1;
       return true;
     }
     case WireType::kMetrics:

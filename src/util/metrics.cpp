@@ -149,31 +149,33 @@ bool MetricsSink::deserialize(std::string_view data) {
   std::size_t off = 0;
   std::uint32_t n = 0;
   std::string name;
+  // Names arrive in serialize()'s strictly ascending map order; anything
+  // else (a repeat, a reordering) is a damaged payload, not a sink.
+  const auto next_name = [&](const auto& map) {
+    return get_string(data, &off, &name) &&
+           (map.empty() || map.rbegin()->first < name);
+  };
   if (!get_le(data, &off, &n)) return false;
   for (std::uint32_t i = 0; i < n; ++i) {
     std::uint64_t value = 0;
-    if (!get_string(data, &off, &name) || !get_le(data, &off, &value)) {
-      return false;
-    }
-    counters_.emplace(name, value);
+    if (!next_name(counters_) || !get_le(data, &off, &value)) return false;
+    counters_.emplace_hint(counters_.end(), name, value);
   }
   if (!get_le(data, &off, &n)) return false;
   for (std::uint32_t i = 0; i < n; ++i) {
     double value = 0;
-    if (!get_string(data, &off, &name) || !get_le(data, &off, &value)) {
-      return false;
-    }
-    gauges_.emplace(name, value);
+    if (!next_name(gauges_) || !get_le(data, &off, &value)) return false;
+    gauges_.emplace_hint(gauges_.end(), name, value);
   }
   if (!get_le(data, &off, &n)) return false;
   for (std::uint32_t i = 0; i < n; ++i) {
     TimerStat stat;
-    if (!get_string(data, &off, &name) || !get_le(data, &off, &stat.count) ||
+    if (!next_name(timers_) || !get_le(data, &off, &stat.count) ||
         !get_le(data, &off, &stat.total_ns) ||
         !get_le(data, &off, &stat.max_ns)) {
       return false;
     }
-    timers_.emplace(name, stat);
+    timers_.emplace_hint(timers_.end(), name, stat);
   }
   return off == data.size();
 }

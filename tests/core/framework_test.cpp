@@ -351,6 +351,68 @@ TEST(FrameworkTechnique, RunAdaptiveGlitchRunsOrDegradesGracefully) {
   if (out.pilot.successes == 0) EXPECT_FALSE(out.adapted);
 }
 
+// One shared voltage-glitch framework.
+FaultAttackEvaluator& voltage_fw() {
+  static FaultAttackEvaluator instance(soc::make_illegal_write_benchmark(),
+                                       [] {
+                                         FrameworkConfig cfg;
+                                         cfg.technique = "voltage-glitch";
+                                         return cfg;
+                                       }());
+  return instance;
+}
+
+TEST(FrameworkTechnique, VoltageGlitchSharesTheGlitchPath) {
+  constexpr auto kVoltage = faultsim::TechniqueKind::kVoltageGlitch;
+  EXPECT_EQ(voltage_fw().technique().kind(), kVoltage);
+  EXPECT_GT(voltage_fw().glitch_simulator().timing().clock_period(), 0.0);
+  const faultsim::GlitchAttackModel model =
+      voltage_fw().glitch_attack_model(50);
+  EXPECT_EQ(model.kind, kVoltage);
+  EXPECT_EQ(model.levels, faultsim::GlitchAttackModel(kVoltage).levels);
+  const faultsim::GlitchAttackModel alias =
+      voltage_fw().voltage_attack_model(50);
+  EXPECT_EQ(alias.kind, model.kind);
+  EXPECT_EQ(alias.t_max, model.t_max);
+  EXPECT_EQ(alias.levels, model.levels);
+  EXPECT_THROW(fw().glitch_attack_model(50), fav::CheckError);
+
+  const SamplerSelection random_sel =
+      voltage_fw().make_sampler_with_fallback(model, "random");
+  EXPECT_EQ(random_sel.actual, "voltage-uniform");
+  EXPECT_EQ(random_sel.sampler->name(), "voltage-uniform");
+  EXPECT_FALSE(random_sel.downgraded());
+  const SamplerSelection imp_sel =
+      voltage_fw().make_sampler_with_fallback(model, "importance");
+  EXPECT_EQ(imp_sel.actual, "voltage-uniform");
+  EXPECT_EQ(imp_sel.downgrade_reason,
+            "strategy 'importance' has no voltage-glitch equivalent (no "
+            "spatial structure to exploit), using voltage-uniform");
+  EXPECT_GE(voltage_fw().metrics().counter("sampler.built.voltage-uniform"),
+            2u);
+  const SamplerSelection clock_sel = glitch_fw().make_sampler_with_fallback(
+      glitch_fw().glitch_attack_model(50), "cone");
+  EXPECT_EQ(clock_sel.downgrade_reason,
+            "strategy 'cone' has no clock-glitch equivalent (no spatial "
+            "structure to exploit), using glitch-uniform");
+
+  // Two-stage adaptive estimation takes either glitch kind.
+  Rng rng(21);
+  const auto out = voltage_fw().run_adaptive_glitch(model, rng, 200, 150);
+  EXPECT_EQ(out.pilot.stats.count(), 200u);
+  EXPECT_EQ(out.refined.stats.count(), 150u);
+  if (out.pilot.successes == 0) {
+    EXPECT_FALSE(out.adapted);
+  }
+  for (const mc::SampleRecord& rec : out.refined.records) {
+    EXPECT_EQ(rec.sample.technique, kVoltage);
+  }
+  // A model of the other glitch kind is a caller bug.
+  EXPECT_THROW(voltage_fw().run_adaptive_glitch(
+                   glitch_fw().glitch_attack_model(50), rng, 10, 10),
+               fav::CheckError);
+}
+
 TEST(FrameworkTechnique, AdaptiveEntryPointsAreTechniqueChecked) {
   // Radiation-style adaptive estimation on a glitch framework (and vice
   // versa) is a caller bug, not a degradable condition.

@@ -1,9 +1,9 @@
-// Lane kernels of the glitch techniques: ClockGlitchTechnique::flip_set and
-// VoltageGlitchTechnique::flip_set evaluate up to 64 samples per call, one
-// per lane of a WordSimulator. Each lane must reproduce the single-sample
-// reference (ClockGlitchSimulator / VoltageGlitchSimulator::flipped_dffs)
-// against that lane's own settled values — the glitch counterpart of
-// InjectionSimulator.InjectBatchMatchesScalarLaneByLane.
+// Lane kernel of the glitch techniques: GlitchTechnique::flip_set evaluates
+// up to 64 samples per call, one per lane of a WordSimulator, for either
+// kind. Each lane must reproduce the single-sample reference
+// (GlitchSimulator::flipped_dffs, whose timing tests are written out
+// separately) against that lane's own settled values — the glitch
+// counterpart of InjectionSimulator.InjectBatchMatchesScalarLaneByLane.
 #include "faultsim/technique.h"
 
 #include <gtest/gtest.h>
@@ -102,10 +102,11 @@ TEST(GlitchTechniques, FlipSetMatchesReferenceLaneByLane) {
     for (int trial = 0; trial < 3; ++trial) {
       const RandomNetlist net(gen);
       const LaneStates states(net.nl, lanes, gen);
-      const ClockGlitchSimulator glitch(net.nl);
-      const VoltageGlitchSimulator droop(net.nl);
-      const ClockGlitchTechnique clock_technique(glitch);
-      const VoltageGlitchTechnique voltage_technique(droop);
+      const GlitchSimulator glitch(net.nl);
+      const GlitchTechnique clock_technique(glitch,
+                                            TechniqueKind::kClockGlitch);
+      const GlitchTechnique voltage_technique(glitch,
+                                              TechniqueKind::kVoltageGlitch);
       std::uniform_real_distribution<double> severity(0.02, 0.98);
       std::vector<FaultSample> clock_samples;
       std::vector<FaultSample> voltage_samples;
@@ -119,10 +120,10 @@ TEST(GlitchTechniques, FlipSetMatchesReferenceLaneByLane) {
       std::vector<std::vector<NodeId>> flipped;
       clock_technique.flip_set(states.words, scratch, clock_samples, flipped);
       ASSERT_EQ(flipped.size(), static_cast<std::size_t>(lanes));
-      const double period = glitch.timing().clock_period();
       for (int l = 0; l < lanes; ++l) {
-        const auto ref = glitch.flipped_dffs(states.lanes[l],
-                                             period * clock_samples[l].depth);
+        const auto ref =
+            glitch.flipped_dffs(states.lanes[l], TechniqueKind::kClockGlitch,
+                                clock_samples[l].depth);
         EXPECT_EQ(flipped[l], ref)
             << "clock glitch, lanes " << lanes << " trial " << trial
             << " lane " << l;
@@ -134,7 +135,8 @@ TEST(GlitchTechniques, FlipSetMatchesReferenceLaneByLane) {
       ASSERT_EQ(flipped.size(), static_cast<std::size_t>(lanes));
       for (int l = 0; l < lanes; ++l) {
         const auto ref =
-            droop.flipped_dffs(states.lanes[l], voltage_samples[l].depth);
+            glitch.flipped_dffs(states.lanes[l], TechniqueKind::kVoltageGlitch,
+                                voltage_samples[l].depth);
         EXPECT_EQ(flipped[l], ref)
             << "voltage glitch, lanes " << lanes << " trial " << trial
             << " lane " << l;

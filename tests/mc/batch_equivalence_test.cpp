@@ -12,8 +12,9 @@
 #include <utility>
 #include <vector>
 
+#include "faultsim/technique.h"
 #include "mc/evaluator.h"
-#include "mc/glitch_evaluator.h"
+#include "mc/samplers.h"
 #include "soc/benchmark.h"
 #include "util/metrics.h"
 
@@ -26,7 +27,7 @@ struct Context {
   soc::SocNetlist soc;
   layout::Placement placement{soc.netlist()};
   faultsim::InjectionSimulator injector{soc.netlist()};
-  faultsim::ClockGlitchSimulator glitch{soc.netlist()};
+  faultsim::GlitchSimulator glitch{soc.netlist()};
   soc::SecurityBenchmark bench = soc::make_illegal_write_benchmark();
   rtl::GoldenRun golden{bench.program, bench.max_cycles, 32};
   rtl::Program workload = soc::make_synthetic_workload();
@@ -175,26 +176,31 @@ TEST(BatchEquivalence, CycleBudgetFailuresAreIdenticalLaneForLane) {
 }
 
 TEST(BatchEquivalence, ClockGlitchTechniqueBatchesBitwiseIdentically) {
-  faultsim::ClockGlitchAttackModel model;
+  faultsim::GlitchAttackModel model(faultsim::TechniqueKind::kClockGlitch);
   model.t_min = 1;
   model.t_max = 10;
-  model.depths = {0.35, 0.55};
+  model.levels = {0.35, 0.55};
+  const faultsim::GlitchTechnique technique(
+      ctx().glitch, faultsim::TechniqueKind::kClockGlitch);
+  const auto engine = [&](const EvaluatorConfig& cfg) {
+    return SsfEvaluator(ctx().soc, technique, ctx().bench, ctx().golden,
+                        &ctx().charac, cfg);
+  };
 
-  const SsfEvaluator alone_base = ctx().make({});
-  const ClockGlitchEvaluator alone_ev(alone_base, ctx().soc, ctx().glitch);
-  GlitchSampler alone_sampler(model, alone_ev.engine().target_cycle());
+  const SsfEvaluator alone_ev = engine({});
+  GlitchSampler alone_sampler(model, alone_ev.target_cycle());
   Rng alone_rng(9);
   const SsfResult alone =
-      evaluate_alone(alone_ev.engine(), alone_sampler, alone_rng, 300);
+      evaluate_alone(alone_ev, alone_sampler, alone_rng, 300);
 
   for (const std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     EvaluatorConfig cfg;
     cfg.threads = threads;
-    const SsfEvaluator base = ctx().make(cfg);
-    ClockGlitchEvaluator ev(base, ctx().soc, ctx().glitch);
+    const SsfEvaluator ev = engine(cfg);
+    GlitchSampler sampler(model, ev.target_cycle());
     Rng rng(9);
-    expect_bitwise_equal(ev.run(model, rng, 300), alone);
+    expect_bitwise_equal(ev.run(sampler, rng, 300), alone);
   }
 }
 
@@ -252,7 +258,8 @@ TEST(BatchEquivalence, RetriedLaneLeavesItsGroupIntact) {
   // few dozen cycles, far below the deadline.
   soc::SecurityBenchmark unbounded = ctx().bench;
   unbounded.max_cycles = ctx().bench.max_cycles * 10'000'000;
-  const faultsim::ClockGlitchTechnique technique(ctx().glitch);
+  const faultsim::GlitchTechnique technique(
+      ctx().glitch, faultsim::TechniqueKind::kClockGlitch);
   std::vector<faultsim::FaultSample> samples;
   for (const double depth : {0.8, 0.3, 0.5, 0.7, 0.9}) {
     faultsim::FaultSample s;

@@ -33,8 +33,7 @@ struct Context {
   soc::SocNetlist soc;
   layout::Placement placement{soc.netlist()};
   faultsim::InjectionSimulator injector{soc.netlist()};
-  faultsim::ClockGlitchSimulator glitch{soc.netlist()};
-  faultsim::VoltageGlitchSimulator voltage{soc.netlist()};
+  faultsim::GlitchSimulator glitch{soc.netlist()};
   soc::SecurityBenchmark bench = soc::make_illegal_write_benchmark();
   rtl::GoldenRun golden{bench.program, bench.max_cycles, 32};
   rtl::Program workload = soc::make_synthetic_workload();
@@ -178,11 +177,12 @@ TEST(RecordDigest, RadiationImportanceSampling) {
 }
 
 TEST(RecordDigest, ClockGlitch) {
-  faultsim::ClockGlitchAttackModel model;
+  faultsim::GlitchAttackModel model(faultsim::TechniqueKind::kClockGlitch);
   model.t_min = 1;
   model.t_max = 10;
-  model.depths = {0.35, 0.55};
-  const faultsim::ClockGlitchTechnique technique(ctx().glitch);
+  model.levels = {0.35, 0.55};
+  const faultsim::GlitchTechnique technique(
+      ctx().glitch, faultsim::TechniqueKind::kClockGlitch);
   const auto campaign = [&](std::size_t threads) {
     const SsfEvaluator ev = ctx().make(technique, {}, threads);
     GlitchSampler sampler(model, ev.target_cycle());
@@ -194,14 +194,15 @@ TEST(RecordDigest, ClockGlitch) {
 }
 
 TEST(RecordDigest, VoltageGlitch) {
-  faultsim::VoltageGlitchAttackModel model;
+  faultsim::GlitchAttackModel model(faultsim::TechniqueKind::kVoltageGlitch);
   model.t_min = 1;
   model.t_max = 12;
-  model.droops = {0.3, 0.5, 0.7};
-  const faultsim::VoltageGlitchTechnique technique(ctx().voltage);
+  model.levels = {0.3, 0.5, 0.7};
+  const faultsim::GlitchTechnique technique(
+      ctx().glitch, faultsim::TechniqueKind::kVoltageGlitch);
   const auto campaign = [&](std::size_t threads) {
     const SsfEvaluator ev = ctx().make(technique, {}, threads);
-    VoltageGlitchSampler sampler(model, ev.target_cycle());
+    GlitchSampler sampler(model, ev.target_cycle());
     Rng rng(11);
     return ev.run(sampler, rng, 300);
   };
@@ -279,12 +280,13 @@ TEST(RecordDigest, InjectionBeforeProgramStart) {
 TEST(RecordDigest, ExhaustiveClockGlitchSweep) {
   // 70 depths per injection cycle: every te holds more than 64 points, so
   // the sweep seals full groups and splits each te.
-  faultsim::ClockGlitchAttackModel model;
+  faultsim::GlitchAttackModel model(faultsim::TechniqueKind::kClockGlitch);
   model.t_min = 1;
   model.t_max = 6;
-  model.depths.clear();
-  for (int k = 0; k < 70; ++k) model.depths.push_back(0.1 + 0.0125 * k);
-  faultsim::ClockGlitchTechnique technique(ctx().glitch);
+  model.levels.clear();
+  for (int k = 0; k < 70; ++k) model.levels.push_back(0.1 + 0.0125 * k);
+  faultsim::GlitchTechnique technique(ctx().glitch,
+                                      faultsim::TechniqueKind::kClockGlitch);
   technique.bind_space(model);
   const auto campaign = [&](std::size_t threads) {
     const SsfEvaluator ev = ctx().make(technique, {}, threads);

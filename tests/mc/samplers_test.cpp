@@ -100,10 +100,10 @@ TEST(ConeSampler, EmptySupportThrows) {
 }
 
 TEST(GlitchSampler, DrawsUniformOverModelGrid) {
-  faultsim::ClockGlitchAttackModel model;
+  faultsim::GlitchAttackModel model;
   model.t_min = 2;
   model.t_max = 11;
-  model.depths = {0.4, 0.6, 0.8};
+  model.levels = {0.4, 0.6, 0.8};
   GlitchSampler s(model, /*target_cycle=*/100);
   EXPECT_EQ(s.name(), "glitch-uniform");
   Rng rng(4);
@@ -121,10 +121,10 @@ TEST(GlitchSampler, DrawsUniformOverModelGrid) {
 TEST(GlitchSampler, RejectsModelBeyondTargetCycle) {
   // t > Tt has no cycle to glitch; such samples used to dilute the estimate
   // as silent always-masked records. The sampler now refuses the model.
-  faultsim::ClockGlitchAttackModel model;
+  faultsim::GlitchAttackModel model;
   model.t_min = 1;
   model.t_max = 150;
-  model.depths = {0.5};
+  model.levels = {0.5};
   EXPECT_THROW(GlitchSampler(model, /*target_cycle=*/100), fav::CheckError);
 }
 
