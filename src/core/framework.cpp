@@ -56,6 +56,15 @@ std::string bundle_shape_error(const precharac::PrecharacBundle& b,
   return "";
 }
 
+/// Last cycle of a t_range-cycle attack window ending at the target cycle
+/// Tt at the latest: a fault after Tt cannot affect the attack, and a
+/// sample drawn there would only dilute the estimate as masked.
+int window_end(int t_range, std::uint64_t tt) {
+  FAV_ENSURE(t_range >= 1);
+  return static_cast<int>(
+      std::min<std::uint64_t>(static_cast<std::uint64_t>(t_range - 1), tt));
+}
+
 }  // namespace
 
 std::uint64_t campaign_fingerprint(const CampaignKey& key) {
@@ -368,10 +377,9 @@ void FaultAttackEvaluator::save_precharac(std::uint64_t fingerprint) {
 
 AttackModel FaultAttackEvaluator::chip_attack_model(double radius,
                                                     int t_range) const {
-  FAV_ENSURE(t_range >= 1);
   AttackModel a;
   a.t_min = 0;
-  a.t_max = t_range - 1;
+  a.t_max = window_end(t_range, target_cycle());
   a.candidate_centers = placement_.placed_nodes();
   a.radii = {radius};
   return a;
@@ -379,10 +387,9 @@ AttackModel FaultAttackEvaluator::chip_attack_model(double radius,
 
 AttackModel FaultAttackEvaluator::subblock_attack_model(double radius,
                                                         int t_range) const {
-  FAV_ENSURE(t_range >= 1);
   AttackModel a;
   a.t_min = 0;
-  a.t_max = t_range - 1;
+  a.t_max = window_end(t_range, target_cycle());
   a.radii = {radius};
   // Candidate support: every cell appearing in any extracted cone frame —
   // the attacker aims the spot at the security logic's neighbourhood.
@@ -411,16 +418,13 @@ const faultsim::GlitchSimulator& FaultAttackEvaluator::glitch_simulator()
 
 faultsim::GlitchAttackModel FaultAttackEvaluator::glitch_attack_model(
     int t_range) const {
-  FAV_ENSURE(t_range >= 1);
   FAV_ENSURE_MSG(glitch_ != nullptr,
                  "glitch_attack_model() requires a glitch technique "
                  "(configured: \""
                      << config_.technique << "\")");
   faultsim::GlitchAttackModel m(technique_->kind());
   m.t_min = 0;
-  const std::uint64_t tt = target_cycle();
-  m.t_max = static_cast<int>(std::min<std::uint64_t>(
-      static_cast<std::uint64_t>(t_range - 1), tt));
+  m.t_max = window_end(t_range, target_cycle());
   return m;
 }
 

@@ -196,6 +196,8 @@ class FaultAttackEvaluator {
   precharac::PrecharacKey precharac_key() const;
 
   /// --- attack models -----------------------------------------------------
+  /// Every model draws t uniform over [0, min(t_range, Tt + 1)): a fault
+  /// after the target cycle Tt cannot affect the attack.
   /// Uniform f_{T,P} over the whole chip (every placed cell a candidate).
   faultsim::AttackModel chip_attack_model(double radius = 1.5,
                                           int t_range = 50) const;

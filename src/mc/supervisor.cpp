@@ -37,13 +37,16 @@ std::string encode_assign(std::uint64_t lo, std::uint64_t hi) {
   return out;
 }
 
-std::string encode_progress(std::uint64_t index, double contribution,
-                            double weight, bool failed) {
+std::string encode_progress(const std::vector<ProgressEntry>& entries) {
+  FAV_CHECK(!entries.empty() && entries.size() <= kMaxProgressEntries);
   std::string out = typed_message(WireType::kProgress);
-  put_le(out, index);
-  put_le(out, contribution);
-  put_le(out, weight);
-  put_le(out, static_cast<std::uint8_t>(failed ? 1 : 0));
+  put_le(out, static_cast<std::uint8_t>(entries.size()));
+  for (const ProgressEntry& e : entries) {
+    put_le(out, e.index);
+    put_le(out, e.contribution);
+    put_le(out, e.weight);
+    put_le(out, static_cast<std::uint8_t>(e.failed ? 1 : 0));
+  }
   return out;
 }
 
@@ -80,16 +83,23 @@ bool decode_message(std::string_view payload, WireMessage* out) {
       return get_le(payload, &off, &out->lo) &&
              get_le(payload, &off, &out->hi) && off == payload.size();
     case WireType::kProgress: {
-      std::uint8_t failed = 0;
-      if (!get_le(payload, &off, &out->index) ||
-          !get_le(payload, &off, &out->contribution) ||
-          !get_le(payload, &off, &out->weight) ||
-          !get_le(payload, &off, &failed) || failed > 1 ||
-          off != payload.size()) {
+      std::uint8_t count = 0;
+      if (!get_le(payload, &off, &count) || count == 0 ||
+          count > kMaxProgressEntries) {
         return false;
       }
-      out->failed = failed == 1;
-      return true;
+      out->progress.resize(count);
+      for (ProgressEntry& e : out->progress) {
+        std::uint8_t failed = 0;
+        if (!get_le(payload, &off, &e.index) ||
+            !get_le(payload, &off, &e.contribution) ||
+            !get_le(payload, &off, &e.weight) ||
+            !get_le(payload, &off, &failed) || failed > 1) {
+          return false;
+        }
+        e.failed = failed == 1;
+      }
+      return off == payload.size();
     }
     case WireType::kMetrics:
       out->blob.assign(payload.substr(off));
@@ -108,19 +118,33 @@ void WorkerHeartbeat::on_sample(const SampleRecord& record,
                                 std::size_t slice_index) {
   const std::uint64_t index =
       base_.load(std::memory_order_relaxed) + slice_index;
-  const bool failed = record.path == OutcomePath::kFailed;
-  // Best-effort: a write failure means the supervisor is gone, which the
-  // assignment loop detects as EOF (SIGPIPE is ignored in worker mode).
-  (void)write_frame(fd_, encode_progress(index, record.contribution,
-                                         record.sample.weight, failed));
   // Test-only chaos injection: die exactly like a segfault would —
   // mid-shard, after the sample's heartbeat, with the shard unjournaled.
-  if (crash_on_ == index) ::raise(SIGKILL);
-  if (crash_after_ != 0 &&
-      completed_.fetch_add(1, std::memory_order_relaxed) + 1 ==
-          crash_after_) {
-    ::raise(SIGKILL);
+  const bool crash =
+      crash_on_ == index ||
+      (crash_after_ != 0 &&
+       completed_.fetch_add(1, std::memory_order_relaxed) + 1 ==
+           crash_after_);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    pending_.push_back({index, record.contribution, record.sample.weight,
+                        record.path == OutcomePath::kFailed});
+    if (crash || pending_.size() == kMaxProgressEntries) flush_locked();
   }
+  if (crash) ::raise(SIGKILL);
+}
+
+void WorkerHeartbeat::flush() {
+  std::lock_guard<std::mutex> lock(mu_);
+  flush_locked();
+}
+
+void WorkerHeartbeat::flush_locked() {
+  if (pending_.empty()) return;
+  // Best-effort: a write failure means the supervisor is gone, which the
+  // assignment loop detects as EOF (SIGPIPE is ignored in worker mode).
+  (void)write_frame(fd_, encode_progress(pending_));
+  pending_.clear();
 }
 
 Status run_worker_loop(const SsfEvaluator& evaluator,
@@ -131,6 +155,7 @@ Status run_worker_loop(const SsfEvaluator& evaluator,
   // The journal needs every record of an assigned shard.
   FAV_ENSURE(evaluator.config().keep_records &&
              evaluator.config().record_capacity == 0);
+  FAV_ENSURE(options.shard_size > 0);
 
   JournalWriter writer;
   writer.set_metrics(metrics);
@@ -199,15 +224,21 @@ Status run_worker_loop(const SsfEvaluator& evaluator,
     std::vector<faultsim::FaultSample> slice(
         samples.begin() + static_cast<std::ptrdiff_t>(msg.lo),
         samples.begin() + static_cast<std::ptrdiff_t>(msg.hi));
-    SsfResult shard = evaluator.run_batch(std::move(slice));
-    FAV_CHECK(shard.records.size() == msg.hi - msg.lo);
+    // One batch per assignment: te-groups form across the whole wave.
+    const SsfResult run = evaluator.run_batch(std::move(slice));
+    FAV_CHECK(run.records.size() == msg.hi - msg.lo);
+    heartbeat.flush();
     // Journal first, acknowledge second: a DONE without a durable shard
     // could never be reconstructed, while a journaled shard whose DONE frame
-    // is lost is harvested from the file after our death.
-    const Status journaled =
-        writer.append_shard(msg.lo, shard.records.data(),
-                            shard.records.size());
-    if (!journaled.is_ok()) return journaled;
+    // is lost is harvested from the file after our death. Each shard is its
+    // own fsynced record, so durability and quarantine stay per shard.
+    for (std::uint64_t lo = msg.lo; lo < msg.hi; lo += options.shard_size) {
+      const std::uint64_t hi =
+          std::min<std::uint64_t>(lo + options.shard_size, msg.hi);
+      const Status journaled = writer.append_shard(
+          lo, &run.records[lo - msg.lo], static_cast<std::size_t>(hi - lo));
+      if (!journaled.is_ok()) return journaled;
+    }
     const Status done = write_frame(options.out_fd,
                                     encode_done(msg.lo, msg.hi));
     if (!done.is_ok()) return Status::ok();  // supervisor gone
@@ -232,7 +263,9 @@ struct WorkerSlot {
   bool alive = false;
   bool ready = false;
   bool shutdown_sent = false;
-  int shard = -1;  // index into the shard list; -1 = idle
+  // Assigned shards [first, end) of the shard list; both -1 when idle.
+  int first = -1;
+  int end = -1;
   std::uint64_t deadline_at_ns = 0;
   bool respawn_scheduled = false;
   std::uint64_t respawn_at_ns = 0;
@@ -319,13 +352,43 @@ class Fleet {
     return false;
   }
 
-  int next_pending() const {
-    for (std::size_t i = 0; i < shards_->size(); ++i) {
-      if ((*shards_)[i].state == ShardState::S::kPending) {
-        return static_cast<int>(i);
+  /// The next assignment [*first, *end) of the shard list: a run of
+  /// consecutive pending shards, contiguous in sample index, capped at one
+  /// wave and at an even split of the pending shards across the live
+  /// workers (so a small campaign still reaches every worker). A shard
+  /// charged with a worker death is only assigned alone. False when
+  /// nothing is pending.
+  bool next_run(int* first, int* end) const {
+    const std::vector<ShardState>& sh = *shards_;
+    std::size_t pending = 0;
+    *first = -1;
+    for (std::size_t i = 0; i < sh.size(); ++i) {
+      if (sh[i].state != ShardState::S::kPending) continue;
+      if (*first < 0) *first = static_cast<int>(i);
+      ++pending;
+    }
+    if (*first < 0) return false;
+    std::size_t live = 0;
+    for (const WorkerSlot& s : slots_) {
+      if (!s.disabled && !s.shutdown_sent && (s.alive || s.respawn_scheduled)) {
+        ++live;
       }
     }
-    return -1;
+    const std::size_t wave_shards = std::max<std::size_t>(
+        1, SsfEvaluator::kWaveSamples / config_.shard_size);
+    const std::size_t cap =
+        sh[*first].attempts > 0
+            ? 1
+            : std::min(wave_shards,
+                       (pending + live - 1) / std::max<std::size_t>(1, live));
+    std::size_t e = static_cast<std::size_t>(*first) + 1;
+    while (e < sh.size() && e - *first < cap &&
+           sh[e].state == ShardState::S::kPending && sh[e].attempts == 0 &&
+           sh[e].lo == sh[e - 1].hi) {
+      ++e;
+    }
+    *end = static_cast<int>(e);
+    return true;
   }
 
   void spawn(std::size_t k) {
@@ -353,7 +416,7 @@ class Fleet {
     s.alive = true;
     s.ready = false;
     s.shutdown_sent = false;
-    s.shard = -1;
+    s.first = s.end = -1;
     s.buf = FrameBuffer();
     s.deadline_at_ns = monotonic_ns() + config_.startup_ms * 1'000'000ull;
   }
@@ -393,18 +456,23 @@ class Fleet {
   void dispatch_idle_workers() {
     for (std::size_t k = 0; k < slots_.size(); ++k) {
       WorkerSlot& s = slots_[k];
-      if (!s.alive || !s.ready || s.shard != -1 || s.shutdown_sent) continue;
-      const int next = stopping_ ? -1 : next_pending();
-      if (next >= 0) {
-        ShardState& sh = (*shards_)[next];
-        const Status sent =
-            write_frame(s.proc.stdin_fd(), encode_assign(sh.lo, sh.hi));
+      if (!s.alive || !s.ready || s.first != -1 || s.shutdown_sent) continue;
+      int first = -1;
+      int end = -1;
+      if (!stopping_ && next_run(&first, &end)) {
+        const Status sent = write_frame(
+            s.proc.stdin_fd(),
+            encode_assign((*shards_)[first].lo, (*shards_)[end - 1].hi));
         if (!sent.is_ok()) {
           kill_worker(k, "assignment write failed: " + sent.to_string());
           continue;
         }
-        sh.state = ShardState::S::kAssigned;
-        s.shard = next;
+        ++sup_->assignments;
+        for (int i = first; i < end; ++i) {
+          (*shards_)[i].state = ShardState::S::kAssigned;
+        }
+        s.first = first;
+        s.end = end;
         s.deadline_at_ns =
             monotonic_ns() + config_.heartbeat_ms * 1'000'000ull;
       } else {
@@ -491,11 +559,12 @@ class Fleet {
           s.backoff_ms = config_.backoff_base_ms;
           break;
         case WireType::kProgress:
-          if (config_.progress != nullptr) {
-            config_.progress->record(msg.contribution, msg.weight,
-                                     msg.failed);
+          for (const ProgressEntry& e : msg.progress) {
+            if (config_.progress != nullptr) {
+              config_.progress->record(e.contribution, e.weight, e.failed);
+            }
+            if (config_.on_sample) config_.on_sample();
           }
-          if (config_.on_sample) config_.on_sample();
           break;
         case WireType::kDone:
           handle_done(k, msg);
@@ -523,19 +592,20 @@ class Fleet {
 
   void handle_done(std::size_t k, const WireMessage& msg) {
     WorkerSlot& s = slots_[k];
-    if (s.shard < 0 || (*shards_)[s.shard].lo != msg.lo ||
-        (*shards_)[s.shard].hi != msg.hi) {
+    if (s.first < 0 || (*shards_)[s.first].lo != msg.lo ||
+        (*shards_)[s.end - 1].hi != msg.hi) {
       kill_worker(k, "worker " + std::to_string(k) +
-                         " acknowledged a shard it was not assigned");
+                         " acknowledged samples it was not assigned");
       return;
     }
-    ShardState& sh = (*shards_)[s.shard];
-    if (sh.state == ShardState::S::kAssigned) {
+    for (int i = s.first; i < s.end; ++i) {
+      ShardState& sh = (*shards_)[i];
+      if (sh.state != ShardState::S::kAssigned) continue;
       sh.state = ShardState::S::kDone;
       --unresolved_;
-      for (std::uint64_t i = sh.lo; i < sh.hi; ++i) (*present_)[i] = 1;
+      for (std::uint64_t j = sh.lo; j < sh.hi; ++j) (*present_)[j] = 1;
     }
-    s.shard = -1;
+    s.first = s.end = -1;
   }
 
   void kill_worker(std::size_t k, const std::string& reason) {
@@ -563,35 +633,27 @@ class Fleet {
       return;
     }
 
-    if (s.shard >= 0 && storage_full) {
-      // The worker stopped itself because the journal device is full or
-      // failing — not the shard's fault. Leave it pending with no attempts
-      // charge so a post-resume run (with space freed) retries it instead
-      // of quarantining it.
-      ShardState& sh = (*shards_)[s.shard];
-      if (sh.state == ShardState::S::kAssigned) {
+    for (int i = s.first; i < s.end; ++i) {
+      ShardState& sh = (*shards_)[i];
+      if (sh.state != ShardState::S::kAssigned) continue;
+      // A worker that stopped itself because the journal device is full or
+      // failing did not die of the shard: it goes back to pending with no
+      // attempts charge, so a post-resume run (with space freed) retries it
+      // instead of quarantining it. Any other death charges every shard of
+      // the assignment it did not journal.
+      if (!storage_full && ++sh.attempts >= config_.max_shard_attempts) {
+        sh.state = ShardState::S::kQuarantined;
+        --unresolved_;
+        ++sup_->quarantined_shards;
+        sup_->quarantined_samples += sh.hi - sh.lo;
+        log_line("quarantining shard [" + std::to_string(sh.lo) + ", " +
+                 std::to_string(sh.hi) + ") after " +
+                 std::to_string(sh.attempts) + " worker crash(es)");
+      } else {
         sh.state = ShardState::S::kPending;
       }
-      s.shard = -1;
     }
-    if (s.shard >= 0) {
-      ShardState& sh = (*shards_)[s.shard];
-      if (sh.state == ShardState::S::kAssigned) {
-        ++sh.attempts;
-        if (sh.attempts >= config_.max_shard_attempts) {
-          sh.state = ShardState::S::kQuarantined;
-          --unresolved_;
-          ++sup_->quarantined_shards;
-          sup_->quarantined_samples += sh.hi - sh.lo;
-          log_line("quarantining shard [" + std::to_string(sh.lo) + ", " +
-                   std::to_string(sh.hi) + ") after " +
-                   std::to_string(sh.attempts) + " worker crash(es)");
-        } else {
-          sh.state = ShardState::S::kPending;
-        }
-      }
-      s.shard = -1;
-    }
+    s.first = s.end = -1;
 
     if (clean) return;
     if (storage_full) {
@@ -805,6 +867,7 @@ Result<SupervisedResult> CampaignSupervisor::run_batch(
 
   // Assemble the campaign from disk — the journals are the single source of
   // truth for everything the workers evaluated.
+  ScopeTimer merge_timer(config_.metrics, "supervisor.merge_ns");
   std::vector<SampleRecord> records(n);
   std::vector<std::uint8_t> have(n, 0);
   if (n > 0) {
@@ -860,8 +923,10 @@ Result<SupervisedResult> CampaignSupervisor::run_batch(
   SsfResult result = evaluator_->reduce_records(std::move(records));
   result.interrupted = len < n;
   sup.result = std::move(result);
+  merge_timer.stop();
 
   if (config_.metrics != nullptr) {
+    config_.metrics->add_counter("supervisor.assignments", sup.assignments);
     config_.metrics->add_counter("supervisor.restarts", sup.restarts);
     config_.metrics->add_counter("supervisor.quarantined_shards",
                                  sup.quarantined_shards);

@@ -12,15 +12,17 @@
 // Each worker re-elaborates the framework from the same CLI flags, re-draws
 // the identical sample batch (the determinism contract makes the stream a
 // pure function of the seed), and evaluates the contiguous sample-index
-// shards the supervisor assigns over a length-prefixed pipe protocol. A
-// worker journals every completed shard to its own `worker-<k>.fj` before
+// ranges the supervisor assigns over a length-prefixed pipe protocol. One
+// assignment is up to a scheduling wave of whole `shard_size` shards,
+// evaluated as one batch so te-groups form across the whole wave. A worker
+// journals every shard of the assignment to its own `worker-<k>.fj` before
 // acknowledging it, so the supervisor can always reconstruct what a dead
-// worker finished. Liveness is per-sample PROGRESS frames: a worker that
-// misses its heartbeat deadline (or dies) is SIGKILLed and respawned with
-// exponential backoff; a shard whose evaluation kills workers
-// `max_shard_attempts` times is quarantined — its samples are recorded as
-// OutcomePath::kFailed with ErrorCode::kWorkerCrashed instead of being
-// retried forever.
+// worker finished. Liveness is PROGRESS frames of up to 64 samples each: a
+// worker that misses its heartbeat deadline (or dies) is SIGKILLed and
+// respawned with exponential backoff; a shard whose evaluation kills
+// workers `max_shard_attempts` times is quarantined — its samples are
+// recorded as OutcomePath::kFailed with ErrorCode::kWorkerCrashed instead
+// of being retried forever.
 //
 // The final result is assembled by merging the worker journals in
 // sample-index order and folding them through the engine's own reduction,
@@ -32,6 +34,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -49,11 +52,22 @@ namespace fav::mc {
 enum class WireType : std::uint8_t {
   kReady = 1,     // worker -> supervisor: elaborated, journal open
   kAssign = 2,    // supervisor -> worker: evaluate samples [lo, hi)
-  kProgress = 3,  // worker -> supervisor: one sample done (heartbeat)
-  kDone = 4,      // worker -> supervisor: shard [lo, hi) journaled
+  kProgress = 3,  // worker -> supervisor: 1-64 samples done (heartbeat)
+  kDone = 4,      // worker -> supervisor: samples [lo, hi) journaled
   kShutdown = 5,  // supervisor -> worker: ship metrics and exit
   kMetrics = 6,   // worker -> supervisor: serialized MetricsSink
 };
+
+/// One evaluated sample as a PROGRESS frame reports it.
+struct ProgressEntry {
+  std::uint64_t index = 0;  // absolute sample index
+  double contribution = 0.0;
+  double weight = 0.0;
+  bool failed = false;
+};
+
+/// Most entries one PROGRESS frame carries.
+constexpr std::size_t kMaxProgressEntries = 64;
 
 /// Decoded form of any protocol message; only the fields of the given type
 /// are meaningful.
@@ -61,21 +75,19 @@ struct WireMessage {
   WireType type = WireType::kReady;
   std::uint64_t lo = 0;  // kAssign / kDone
   std::uint64_t hi = 0;  // kAssign / kDone
-  std::uint64_t index = 0;      // kProgress: absolute sample index
-  double contribution = 0.0;    // kProgress
-  double weight = 0.0;          // kProgress
-  bool failed = false;          // kProgress
-  std::string blob;             // kMetrics: MetricsSink::serialize bytes
+  std::vector<ProgressEntry> progress;  // kProgress: 1-64 entries
+  std::string blob;  // kMetrics: MetricsSink::serialize bytes
 };
 
 std::string encode_ready();
 std::string encode_assign(std::uint64_t lo, std::uint64_t hi);
-std::string encode_progress(std::uint64_t index, double contribution,
-                            double weight, bool failed);
+/// `entries` must hold 1..kMaxProgressEntries entries.
+std::string encode_progress(const std::vector<ProgressEntry>& entries);
 std::string encode_done(std::uint64_t lo, std::uint64_t hi);
 std::string encode_shutdown();
 std::string encode_metrics(const MetricsSink& sink);
-/// False on malformed payloads (unknown type byte, truncated fields).
+/// False on malformed payloads (unknown type byte, truncated fields, a
+/// PROGRESS entry count outside 1..64, a `failed` byte other than 0 or 1).
 bool decode_message(std::string_view payload, WireMessage* out);
 
 /// Journal shard file owned by worker `worker_id`: "worker-<k>.fj".
@@ -88,12 +100,14 @@ inline const char* worker_journal_pattern() { return "worker-*.fj"; }
 struct SupervisorConfig {
   /// Worker processes to keep alive (>= 1).
   std::size_t workers = 1;
-  /// Samples per assignment — the granularity of loss on a worker crash and
-  /// of the graceful-stop latency.
+  /// Samples per journal shard: the commit and quarantine granularity. An
+  /// assignment is a run of up to one scheduling wave of whole shards
+  /// (SsfEvaluator::kWaveSamples), so a worker crash loses at most one wave
+  /// and a graceful stop waits for the in-flight wave.
   std::size_t shard_size = 256;
   /// A ready worker that produces no frame (progress or control) for this
   /// long is presumed wedged, SIGKILLed and restarted. Must comfortably
-  /// exceed the slowest single sample.
+  /// exceed the time of the slowest 64 samples (one PROGRESS frame).
   std::uint64_t heartbeat_ms = 30000;
   /// Spawn -> READY deadline. Workers re-elaborate the whole framework
   /// before reporting ready, which takes seconds — this deadline is separate
@@ -103,7 +117,9 @@ struct SupervisorConfig {
   std::uint64_t backoff_base_ms = 250;
   std::uint64_t backoff_max_ms = 5000;
   /// A shard that was assigned when a worker died this many times is
-  /// quarantined instead of reassigned.
+  /// quarantined instead of reassigned. A death charges every unfinished
+  /// shard of the worker's assignment; a charged shard is from then on only
+  /// assigned alone, so only the shard that kills again is quarantined.
   int max_shard_attempts = 2;
   /// Consecutive deaths *before reaching READY* that disable a worker slot
   /// (a worker that cannot even elaborate will never make progress).
@@ -129,18 +145,19 @@ struct SupervisorConfig {
   std::string context;
 
   /// Aggregated observability (all optional): worker sinks are merged in
-  /// worker-index order, then supervisor.* counters (restarts, quarantined,
-  /// spawns) are added; progress receives one record per PROGRESS frame.
+  /// worker-index order, then supervisor.* counters (assignments, restarts,
+  /// quarantined) and the supervisor.merge_ns timer are added; progress
+  /// receives one record per evaluated sample.
   MetricsSink* metrics = nullptr;
   ProgressMeter* progress = nullptr;
-  /// Invoked once per worker PROGRESS frame (one evaluated sample), from the
+  /// Invoked once per evaluated sample (one PROGRESS entry), from the
   /// supervisor's event-loop thread. The serving tier uses this to stream
   /// throttled progress to remote clients; counts are approximate under
   /// restarts (a respawned shard re-evaluates its samples).
   std::function<void()> on_sample;
-  /// Graceful stop: no new shards are assigned, workers finish their
-  /// in-flight shard, ship metrics and exit; the result covers the journaled
-  /// prefix and is marked interrupted.
+  /// Graceful stop: nothing new is assigned, workers finish their in-flight
+  /// assignment (up to one wave), ship metrics and exit; the result covers
+  /// the journaled prefix and is marked interrupted.
   const std::atomic<bool>* stop = nullptr;
   /// Diagnostics sink (restarts, quarantines); null routes to stderr.
   std::function<void(const std::string&)> log;
@@ -148,6 +165,8 @@ struct SupervisorConfig {
 
 struct SupervisedResult {
   SsfResult result;
+  /// ASSIGN messages sent to workers.
+  std::size_t assignments = 0;
   /// Unexpected worker deaths that led to a respawn.
   std::size_t restarts = 0;
   /// Shards (and the samples they cover) written off as kWorkerCrashed.
@@ -199,18 +218,20 @@ class CampaignSupervisor {
 /// gracefully because the storage device filled or failed mid-campaign
 /// (ErrorCode::kStorageFull). Every journaled shard is intact and the
 /// campaign is resumable; the supervisor treats this exit as a fleet-wide
-/// graceful stop — the in-flight shard goes back to pending with no
-/// attempts charge (no quarantine) and the slot is not respawned.
+/// graceful stop — the assignment's unjournaled shards go back to pending
+/// with no attempts charge (no quarantine) and the slot is not respawned.
 constexpr int kExitResumableStop = 3;
 
 /// Sentinel for "no crash injection" (see WorkerHeartbeat::set_crash_on).
 constexpr std::uint64_t kNoCrashIndex = ~0ull;
 
-/// Per-sample PROGRESS sender installed as EvaluatorConfig::on_sample inside
-/// a worker process. Thread-safe (the engine invokes it from worker
-/// threads); each frame is one atomic pipe write. Also hosts the test-only
-/// crash injection used by the chaos tests: the process SIGKILLs *itself*
-/// mid-shard, exactly like a segfault would, at a configurable point.
+/// PROGRESS sender installed as EvaluatorConfig::on_sample inside a worker
+/// process. Thread-safe (the engine invokes it from worker threads): entries
+/// are buffered under a mutex and written as one frame of
+/// kMaxProgressEntries, each frame one atomic pipe write. Also hosts the
+/// test-only crash injection used by the chaos tests: the process SIGKILLs
+/// *itself* mid-shard, exactly like a segfault would, at a configurable
+/// point.
 class WorkerHeartbeat {
  public:
   explicit WorkerHeartbeat(int out_fd) : fd_(out_fd) {}
@@ -227,21 +248,34 @@ class WorkerHeartbeat {
   /// the quarantine path (kNoCrashIndex disables).
   void set_crash_on(std::uint64_t index) { crash_on_ = index; }
 
-  /// EvaluatorConfig::on_sample hook. Write errors are ignored: a vanished
-  /// supervisor surfaces as EOF on the next assignment read.
+  /// EvaluatorConfig::on_sample hook: buffers the sample's entry and writes
+  /// a frame once kMaxProgressEntries are buffered. Write errors are
+  /// ignored: a vanished supervisor surfaces as EOF on the next assignment
+  /// read.
   void on_sample(const SampleRecord& record, std::size_t slice_index);
+  /// Writes the buffered entries (if any) as one frame; the worker loop
+  /// calls it after evaluating an assignment, before journaling it.
+  void flush();
 
  private:
+  void flush_locked();
+
   int fd_;
   std::atomic<std::uint64_t> base_{0};
   std::atomic<std::uint64_t> completed_{0};
   std::uint64_t crash_after_ = 0;
   std::uint64_t crash_on_ = kNoCrashIndex;
+  std::mutex mu_;
+  std::vector<ProgressEntry> pending_;  // guarded by mu_
 };
 
 struct WorkerLoopOptions {
   std::string dir;
   std::size_t worker_id = 0;
+  /// Journal shard size: an assignment [lo, hi) is appended as shards of
+  /// this many samples from lo, each its own fsynced record. Must equal the
+  /// supervisor's SupervisorConfig::shard_size.
+  std::size_t shard_size = 256;
   std::uint64_t fingerprint = 0;
   std::string context;
   /// Pipe fds (stdin/stdout of the spawned process by default; tests can
@@ -253,8 +287,8 @@ struct WorkerLoopOptions {
 /// The worker side of the protocol: opens (or re-opens, after a restart)
 /// this worker's journal shard file, reports READY, and serves ASSIGN
 /// messages until SHUTDOWN or EOF (supervisor gone). `samples` must be the
-/// full campaign batch — the worker evaluates assigned slices of it through
-/// `evaluator`.run_batch, so the evaluator must keep full records
+/// full campaign batch — the worker evaluates each assigned slice of it with
+/// one `evaluator`.run_batch, so the evaluator must keep full records
 /// (keep_records, no record_capacity) and should have reduce_metrics off and
 /// `heartbeat` installed as its on_sample hook. `metrics` (may be null) is
 /// shipped to the supervisor on SHUTDOWN.

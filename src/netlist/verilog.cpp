@@ -24,7 +24,11 @@ std::string verilog_identifier(const std::string& name) {
 
 namespace {
 
-std::string net(NodeId id) { return "n" + std::to_string(id); }
+// Appended rather than `"n" + std::to_string(id)`, on which GCC 12 warns
+// (-Wrestrict) at -O3.
+std::string net(NodeId id) {
+  return std::string("n").append(std::to_string(id));
+}
 
 const char* binary_op(CellType t) {
   switch (t) {

@@ -12,9 +12,12 @@ RegisterMap::RegisterMap() {
   };
 
   add("pc", 16, false);
-  for (int r = 0; r < 8; ++r) add("r" + std::to_string(r), 16, false);
+  // Appended: GCC 12 warns (-Wrestrict) on `"r" + std::to_string(r)`.
+  for (int r = 0; r < 8; ++r) {
+    add(std::string("r").append(std::to_string(r)), 16, false);
+  }
   for (int k = 0; k < kMpuRegionCount; ++k) {
-    const std::string p = "mpu" + std::to_string(k) + "_";
+    const std::string p = std::string("mpu").append(std::to_string(k)) + "_";
     add(p + "base", 16, true);
     add(p + "limit", 16, true);
     add(p + "perm", kPermBits, true);

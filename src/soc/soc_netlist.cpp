@@ -59,7 +59,8 @@ void SocNetlist::elaborate() {
   const Word pc = b.dff_word("pc", 16);
   std::vector<Word> regs;
   for (int r = 0; r < 8; ++r) {
-    regs.push_back(b.dff_word("r" + std::to_string(r), 16));
+    // Appended: GCC 12 warns (-Wrestrict) on `"r" + std::to_string(r)`.
+    regs.push_back(b.dff_word(std::string("r").append(std::to_string(r)), 16));
   }
   struct RegionRegs {
     Word base, limit, perm;

@@ -43,6 +43,32 @@ TEST(Framework, SubblockModelIsSmallerThanChip) {
   EXPECT_GT(sub.candidate_centers.size(), 100u);
 }
 
+TEST(Framework, RadiationWindowEndsAtTheTargetCycle) {
+  // A --t-range past Tt used to draw strikes after the target cycle, which
+  // were recorded as masked and diluted the estimate.
+  const std::uint64_t tt = fw().target_cycle();
+  const auto wide = fw().subblock_attack_model(1.5, 5000);
+  const auto exact = fw().subblock_attack_model(1.5, static_cast<int>(tt) + 1);
+  EXPECT_EQ(static_cast<std::uint64_t>(wide.t_max), tt);
+  EXPECT_EQ(wide.t_max, exact.t_max);
+  EXPECT_EQ(static_cast<std::uint64_t>(fw().chip_attack_model(1.5, 5000).t_max),
+            tt);
+  auto wide_sampler = fw().make_random_sampler(wide);
+  auto exact_sampler = fw().make_random_sampler(exact);
+  Rng rng_wide(2017);
+  Rng rng_exact(2017);
+  const auto w = fw().evaluator().run(*wide_sampler, rng_wide, 400);
+  const auto e = fw().evaluator().run(*exact_sampler, rng_exact, 400);
+  ASSERT_EQ(w.records.size(), 400u);
+  for (const auto& rec : w.records) {
+    EXPECT_LE(static_cast<std::uint64_t>(rec.sample.t), tt);
+  }
+  EXPECT_EQ(w.ssf(), e.ssf());
+  EXPECT_EQ(w.sample_variance(), e.sample_variance());
+  EXPECT_EQ(w.masked, e.masked);
+  EXPECT_LT(w.masked, 400u);
+}
+
 TEST(Framework, PotencyMarksGrantingBits) {
   const auto& potency = fw().config().sampling.memory_bit_potency;
   const auto& map = rtl::Machine::reg_map();

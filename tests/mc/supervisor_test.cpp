@@ -88,15 +88,68 @@ TEST(SupervisorCodec, ControlMessagesRoundTrip) {
   EXPECT_EQ(msg.hi, 1280u);
 }
 
+/// `count` distinct PROGRESS entries (exact-double payloads, mixed flags).
+std::vector<ProgressEntry> progress_entries(std::size_t count) {
+  std::vector<ProgressEntry> entries;
+  for (std::size_t i = 0; i < count; ++i) {
+    entries.push_back({1000 + 7 * i, 0.1 * static_cast<double>(i) + 0.2,
+                       1.0 / static_cast<double>(i + 3), i % 3 == 1});
+  }
+  return entries;
+}
+
 TEST(SupervisorCodec, ProgressRoundTripsExactDoubles) {
   WireMessage msg;
-  ASSERT_TRUE(
-      decode_message(encode_progress(987654321, 0.1 + 0.2, 1.75, true), &msg));
+  ASSERT_TRUE(decode_message(
+      encode_progress({{987654321, 0.1 + 0.2, 1.75, true}}), &msg));
   EXPECT_EQ(msg.type, WireType::kProgress);
-  EXPECT_EQ(msg.index, 987654321u);
-  EXPECT_EQ(msg.contribution, 0.1 + 0.2);  // bitwise
-  EXPECT_EQ(msg.weight, 1.75);
-  EXPECT_TRUE(msg.failed);
+  ASSERT_EQ(msg.progress.size(), 1u);
+  EXPECT_EQ(msg.progress[0].index, 987654321u);
+  EXPECT_EQ(msg.progress[0].contribution, 0.1 + 0.2);  // bitwise
+  EXPECT_EQ(msg.progress[0].weight, 1.75);
+  EXPECT_TRUE(msg.progress[0].failed);
+}
+
+TEST(SupervisorCodec, BatchedProgressRoundTripsEveryEntry) {
+  for (const std::size_t count : {std::size_t{1}, std::size_t{2},
+                                  kMaxProgressEntries}) {
+    SCOPED_TRACE(count);
+    const std::vector<ProgressEntry> sent = progress_entries(count);
+    const std::string bytes = encode_progress(sent);
+    // Type byte, entry count, then 25 bytes per entry.
+    EXPECT_EQ(bytes.size(), 2 + 25 * count);
+    WireMessage msg;
+    ASSERT_TRUE(decode_message(bytes, &msg));
+    EXPECT_EQ(msg.type, WireType::kProgress);
+    ASSERT_EQ(msg.progress.size(), count);
+    for (std::size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(msg.progress[i].index, sent[i].index);
+      EXPECT_EQ(msg.progress[i].contribution, sent[i].contribution);
+      EXPECT_EQ(msg.progress[i].weight, sent[i].weight);
+      EXPECT_EQ(msg.progress[i].failed, sent[i].failed);
+    }
+  }
+}
+
+TEST(SupervisorCodec, ProgressRejectsZeroOrMoreThan64Entries) {
+  WireMessage msg;
+  // Zero entries: a bare count byte.
+  std::string empty(1, static_cast<char>(WireType::kProgress));
+  empty.push_back('\0');
+  EXPECT_FALSE(decode_message(empty, &msg));
+  // 65 entries: a full frame plus one more entry, count byte patched.
+  const std::string full = encode_progress(progress_entries(64));
+  const std::string one = encode_progress(progress_entries(1));
+  std::string over = full + one.substr(2);
+  over[1] = static_cast<char>(65);
+  EXPECT_FALSE(decode_message(over, &msg));
+  // The count must match the entries that follow, exactly.
+  std::string short_count = full;
+  short_count[1] = static_cast<char>(63);
+  EXPECT_FALSE(decode_message(short_count, &msg));
+  std::string long_count = encode_progress(progress_entries(2));
+  long_count[1] = static_cast<char>(3);
+  EXPECT_FALSE(decode_message(long_count, &msg));
 }
 
 TEST(SupervisorCodec, MetricsRoundTripThroughSink) {

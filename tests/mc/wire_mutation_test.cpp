@@ -47,8 +47,7 @@ std::optional<std::string> supervisor_roundtrip(const std::string& bytes) {
   switch (m.type) {
     case WireType::kReady: return encode_ready();
     case WireType::kAssign: return encode_assign(m.lo, m.hi);
-    case WireType::kProgress:
-      return encode_progress(m.index, m.contribution, m.weight, m.failed);
+    case WireType::kProgress: return encode_progress(m.progress);
     case WireType::kDone: return encode_done(m.lo, m.hi);
     case WireType::kShutdown: return encode_shutdown();
     case WireType::kMetrics: {
@@ -89,11 +88,23 @@ std::vector<std::string> serve_messages() {
           encode_serve_cancel()};
 }
 
+/// A PROGRESS frame at its 64-entry capacity.
+std::vector<ProgressEntry> full_progress_frame() {
+  std::vector<ProgressEntry> entries;
+  for (std::uint64_t i = 0; i < kMaxProgressEntries; ++i) {
+    entries.push_back({500 + i, 0.25 * static_cast<double>(i),
+                       1.0 + static_cast<double>(i), i % 5 == 0});
+  }
+  return entries;
+}
+
 std::vector<std::string> supervisor_messages() {
   return {encode_ready(),
           encode_assign(17, 42),
-          encode_progress(987654321, 0.1 + 0.2, 1.75, true),
-          encode_progress(3, 0.0, 1.0, false),
+          encode_progress({{987654321, 0.1 + 0.2, 1.75, true}}),
+          encode_progress({{3, 0.0, 1.0, false}}),
+          encode_progress({{3, 0.0, 1.0, false}, {4, 0.5, 2.0, true}}),
+          encode_progress(full_progress_frame()),
           encode_done(1024, 1280),
           encode_shutdown(),
           encode_metrics(sample_sink()),
@@ -156,13 +167,14 @@ TEST(WireMutation, SupervisorDecoderIsExactOrRejects) {
 TEST(WireMutation, ProgressFailedFlagMustBeZeroOrOne) {
   // Regression: any nonzero failed byte used to decode as "failed", so a
   // corrupted PROGRESS frame was accepted and re-encoded differently.
-  std::string bytes = encode_progress(5, 0.25, 2.0, true);
+  std::string bytes = encode_progress({{5, 0.25, 2.0, true}});
   WireMessage m;
   bytes.back() = 2;
   EXPECT_FALSE(decode_message(bytes, &m));
   bytes.back() = 1;
   ASSERT_TRUE(decode_message(bytes, &m));
-  EXPECT_TRUE(m.failed);
+  ASSERT_EQ(m.progress.size(), 1u);
+  EXPECT_TRUE(m.progress[0].failed);
 }
 
 TEST(WireMutation, MetricsPayloadNamesMustBeAscendingAndUnique) {

@@ -5,7 +5,8 @@
 //     at worker counts {1, 4},
 //   * chaos: a worker SIGKILLed mid-campaign changes nothing in the result,
 //   * a deterministically-crashing sample is quarantined as WORKER_CRASHED
-//     instead of wedging the campaign,
+//     instead of wedging the campaign, also past the first wave,
+//   * wave-sized assignments fill the lanes like the in-process engine,
 //   * the supervisor itself SIGKILLed mid-run is resumable with --resume,
 //   * SIGINT flushes a partial interrupted run report (exit code 3) that
 //     --resume completes to the undisturbed result.
@@ -71,6 +72,19 @@ std::string json_field(const std::string& file, const std::string& key) {
     ++end;
   }
   return text.substr(at + needle.size(), end - (at + needle.size()));
+}
+
+/// Value of a metric in a run report's "metrics" object ("name":value), or
+/// -1 when absent.
+double metric_value(const std::string& file, const std::string& name) {
+  std::ifstream in(file);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  const std::string text = ss.str();
+  const std::string needle = "\"" + name + "\":";
+  const std::size_t at = text.find(needle);
+  if (at == std::string::npos) return -1.0;
+  return std::strtod(text.c_str() + at + needle.size(), nullptr);
 }
 
 /// Bitwise comparison of two merged journals through the serialized record
@@ -182,6 +196,61 @@ TEST(SuperviseCli, DeterministicCrashIsQuarantined) {
   const std::string counts = json_field(dir + "/report.json", "WORKER_CRASHED");
   EXPECT_EQ(counts, "16") << "quarantined samples must surface as "
                              "WORKER_CRASHED failure counts";
+}
+
+TEST(SuperviseCli, QuarantineBeyondTheFirstWaveIsExact) {
+  const std::string base = fresh_dir("quarantine_wave_base");
+  const std::string dir = fresh_dir("quarantine_wave");
+  const std::string flags = campaign_flags(20000);
+  ASSERT_EQ(run_cli(flags + " --journal " + base), 0);
+  // Sample 17000 lies past the first 16,384-sample wave and inside a
+  // multi-shard assignment. The first death charges every shard of that
+  // assignment; each is then assigned alone, so only the poison shard
+  // [16992, 17008) dies twice and is quarantined.
+  ASSERT_EQ(run_cli(flags + " --journal " + dir +
+                    " --supervise 2 --crash-on-sample-index 17000" +
+                    " --metrics-out " + dir + "/report.json"),
+            0);
+  EXPECT_EQ(json_field(dir + "/report.json", "quarantined_shards"), "1");
+  EXPECT_EQ(json_field(dir + "/report.json", "quarantined_samples"), "16");
+  EXPECT_EQ(json_field(dir + "/report.json", "WORKER_CRASHED"), "16");
+  EXPECT_EQ(json_field(dir + "/report.json", "interrupted"), "false");
+  Result<JournalContents> want = JournalReader::merge(base, "campaign.fj");
+  Result<MergedJournal> got =
+      JournalReader::merge_partial(dir, worker_journal_pattern());
+  ASSERT_TRUE(want.is_ok()) << want.status().to_string();
+  ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+  ASSERT_EQ(got.value().records.size(), want.value().records.size());
+  const auto missing = got.value().missing_ranges();
+  ASSERT_EQ(missing.size(), 1u);
+  EXPECT_EQ(missing[0].first, 16992u);
+  EXPECT_EQ(missing[0].second, 17008u);
+  for (std::size_t i = 0; i < want.value().records.size(); ++i) {
+    if (got.value().present[i] == 0) continue;
+    std::string image_want, image_got;
+    serialize_record(want.value().records[i], image_want);
+    serialize_record(got.value().records[i], image_got);
+    ASSERT_EQ(image_got, image_want) << "record " << i << " diverges";
+  }
+}
+
+TEST(SuperviseCli, WaveAssignmentsFillTheLanes) {
+  // Supervised twin of Framework.ProductionPathFillsTheLanes: a worker
+  // evaluates a whole wave per assignment, so te-groups fill the lanes as
+  // they do in-process; cut per 256-sample shard they held ~5 of 64.
+  const std::string dir = fresh_dir("lanes");
+  ASSERT_EQ(run_cli("evaluate --benchmark write --strategy importance"
+                    " --samples 20000 --seed 2017 --t-range 50 --threads 2"
+                    " --supervise 2 --journal " +
+                    dir + " --metrics-out " + dir + "/report.json"),
+            0);
+  EXPECT_GE(metric_value(dir + "/report.json", "eval.lane_occupancy"), 32.0);
+  // 79 shards of 256 samples, split evenly over two workers.
+  const double assignments =
+      metric_value(dir + "/report.json", "supervisor.assignments");
+  EXPECT_GE(assignments, 2.0);
+  EXPECT_LE(assignments, 10.0);
+  EXPECT_EQ(metric_value(dir + "/report.json", "journal.shards"), 79.0);
 }
 
 TEST(SuperviseCli, DeadWorkerIsDetectedByEofNotHeartbeat) {

@@ -78,15 +78,18 @@
 //                                  workers are quarantined as failed records.
 //                                  Estimates are bitwise-identical to the
 //                                  single-process engine at every N.
-//   --heartbeat-ms N              supervise only: per-sample liveness
-//                                  deadline before a worker is presumed
-//                                  wedged (default 30000)
+//   --heartbeat-ms N              supervise only: liveness deadline before
+//                                  a worker is presumed wedged (default
+//                                  30000); workers report progress every
+//                                  64 samples
 //   --shard-size N                samples per journal shard: the
 //                                  durability (commit) granularity, and
-//                                  the per-worker assignment size under
-//                                  --supervise (default 256). It does not
-//                                  cap te-groups: those form across whole
-//                                  scheduling waves of ~16k samples
+//                                  under --supervise the quarantine
+//                                  granularity (default 256). It is not
+//                                  the assignment size and does not cap
+//                                  te-groups: workers are assigned, and
+//                                  te-groups form across, whole scheduling
+//                                  waves of ~16k samples
 //   --metrics-out FILE            evaluate only: JSON run report (phase
 //                                  timings, outcome-path counters, ESS)
 //   --trace-out FILE              evaluate only: Chrome-trace events
@@ -267,9 +270,10 @@ void print_usage(const std::string& message) {
                "                               bundle; integrity-checked)\n"
                "         --supervise N  --heartbeat-ms N\n"
                "         --shard-size N (evaluate only, needs --journal;\n"
-               "                              journal durability granularity,\n"
-               "                              --supervise assignment size;\n"
-               "                              does not cap te-groups)\n"
+               "                              journal durability and\n"
+               "                              --supervise quarantine\n"
+               "                              granularity; not the assignment\n"
+               "                              size, does not cap te-groups)\n"
                "         --metrics-out FILE  --trace-out FILE  --progress\n"
                "                              (evaluate only)\n"
                "         --socket PATH        (serve/submit: Unix socket)\n"
@@ -605,6 +609,7 @@ std::vector<std::string> worker_command(const Options& o) {
       "--deadline-ms", std::to_string(o.deadline_ms),
       "--threads", std::to_string(o.threads),
       "--record-capacity", "0",
+      "--shard-size", std::to_string(o.shard_size),
       "--journal", o.journal};
   if (o.exhaustive) {
     // Workers re-derive the identical enumeration from the bound space, so
@@ -1312,6 +1317,7 @@ int cmd_worker(const Options& o) {
   mc::WorkerLoopOptions wopt;
   wopt.dir = o.journal;
   wopt.worker_id = o.worker_id;
+  wopt.shard_size = o.shard_size;
   wopt.fingerprint = campaign_fingerprint(o, actual, total);
   wopt.context = o.benchmark + "/" + o.technique + "/" + actual;
   wopt.in_fd = STDIN_FILENO;
