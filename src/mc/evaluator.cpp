@@ -717,47 +717,10 @@ Status SsfEvaluator::open_journal(const JournalOptions& options, std::size_t n,
                                   const SampleSource& wave_samples,
                                   ReduceState& state,
                                   JournalWriter& writer) const {
-  JournalMeta meta;
-  meta.fingerprint = options.fingerprint;
-  meta.total_samples = n;
-  meta.context = options.context;
-  std::uint64_t valid_bytes = 0;
-  if (options.resume) {
-    Result<JournalContents> loaded = read_journal(options.dir);
-    if (!loaded.is_ok()) return loaded.status();
-    JournalContents& j = loaded.value();
-    valid_bytes = j.valid_bytes;
-    if (j.meta.fingerprint != meta.fingerprint ||
-        j.meta.total_samples != meta.total_samples) {
-      return Status(ErrorCode::kJournalCorrupt,
-                    "journal belongs to a different campaign (fingerprint or "
-                    "sample count mismatch)");
-    }
-    // Cross-check the journaled prefix against the re-drawn (or
-    // re-enumerated) stream: a mismatch means the sampler, seed, config or
-    // bound space changed under the journal.
-    const std::size_t done = std::min(j.records.size(), n);
-    for (std::size_t lo = 0; lo < done; lo += kWaveSamples) {
-      const std::size_t hi = std::min(lo + kWaveSamples, done);
-      const faultsim::FaultSample* expected = wave_samples(lo, hi);
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (!sample_matches(j.records[i].sample, expected[i - lo])) {
-          return Status(ErrorCode::kJournalCorrupt,
-                        "journaled sample " + std::to_string(i) +
-                            " does not match the re-drawn sample stream");
-        }
-        fold_record(state, std::move(j.records[i]));
-      }
-    }
-  }
-  writer.set_metrics(config_.metrics);
-  const Status open = options.resume && state.index > 0
-                          ? writer.open_append(options.dir, valid_bytes)
-                          : writer.open_fresh(options.dir, meta);
-  if (!open.is_ok()) return open;
-  if (config_.metrics != nullptr) {
-    config_.metrics->add_counter("journal.resumed_records", state.index);
-  }
+  Result<std::vector<SampleRecord>> prefix = open_campaign_journal(
+      options, n, wave_samples, config_.metrics, writer);
+  if (!prefix.is_ok()) return prefix.status();
+  for (SampleRecord& rec : prefix.value()) fold_record(state, std::move(rec));
   return Status::ok();
 }
 
@@ -785,17 +748,6 @@ SsfResult SsfEvaluator::run(Sampler& sampler, Rng& rng, std::size_t n) const {
 
 namespace {
 
-Status check_journal_options(const JournalOptions& options) {
-  if (options.dir.empty()) {
-    return Status(ErrorCode::kInvalidArgument, "journal directory is empty");
-  }
-  if (options.shard_size == 0) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "journal shard_size must be > 0");
-  }
-  return Status::ok();
-}
-
 // Effective sweep length: the bound space clipped by --space-limit.
 std::size_t exhaustive_total(std::uint64_t space, std::uint64_t space_limit) {
   const std::uint64_t n = space_limit == 0 ? space
@@ -809,8 +761,6 @@ Result<SsfResult> SsfEvaluator::run_journaled(
     Sampler& sampler, Rng& rng, std::size_t n,
     const JournalOptions& options) const {
   ScopeTimer run_timer(config_.metrics, "run.total_ns");
-  const Status valid = check_journal_options(options);
-  if (!valid.is_ok()) return valid;
   std::vector<faultsim::FaultSample> samples;
   try {
     ScopeTimer timer(config_.metrics, "run.draw_batch_ns");
@@ -865,8 +815,6 @@ SsfResult SsfEvaluator::run_exhaustive(std::uint64_t space_limit) const {
 Result<SsfResult> SsfEvaluator::run_exhaustive_journaled(
     const JournalOptions& options, std::uint64_t space_limit) const {
   ScopeTimer run_timer(config_.metrics, "run.total_ns");
-  const Status valid = check_journal_options(options);
-  if (!valid.is_ok()) return valid;
   std::size_t n = 0;
   SampleSource enumerate;
   try {

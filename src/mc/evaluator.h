@@ -274,6 +274,10 @@ class EvalScratch {
 /// evaluated.
 void update_lane_occupancy(MetricsSink& metrics);
 
+/// Default samples per journal shard (JournalOptions::shard_size, the CLI's
+/// --shard-size).
+constexpr std::size_t kDefaultShardSize = 256;
+
 /// Options for crash-safe journaled campaigns (see mc/journal.h for the
 /// on-disk format). The journal directory accumulates completed sample-index
 /// shards with checksums; a resumed run replays them and continues from the
@@ -287,7 +291,7 @@ struct JournalOptions {
   /// appended after each scheduling wave (SsfEvaluator::kWaveSamples,
   /// rounded to whole shards), so a crash loses at most one wave of work; a
   /// stop commits every whole shard it finished. Does not limit te-groups.
-  std::size_t shard_size = 256;
+  std::size_t shard_size = kDefaultShardSize;
   /// Campaign identity (hash of benchmark/sampler/seed/config); a resume
   /// against a journal with a different fingerprint is rejected.
   std::uint64_t fingerprint = 0;
@@ -305,6 +309,11 @@ class SsfEvaluator {
   /// Most samples one te-group evaluates: the word width of the lane
   /// kernels (faultsim::AttackTechnique::flip_set).
   static constexpr std::size_t kMaxLanes = 64;
+
+  /// Produces the samples of indices [lo, hi) — a slice of a pre-drawn
+  /// batch or a streamed enumeration; valid until the next call.
+  using SampleSource =
+      std::function<const faultsim::FaultSample*(std::size_t, std::size_t)>;
 
   /// Technique-generic engine: evaluates samples of `technique`'s family.
   /// `characterization` may be null: the analytical path is then disabled
@@ -447,11 +456,6 @@ class SsfEvaluator {
     std::vector<TraceBuffer> traces;
   };
 
-  /// Produces the samples of indices [lo, hi) — a slice of a pre-drawn
-  /// batch or a streamed enumeration; valid until the next call.
-  using SampleSource =
-      std::function<const faultsim::FaultSample*(std::size_t, std::size_t)>;
-
   /// Evaluates one wave, samples[0, n) into records[0, n), on the worker
   /// pool: te-groups of up to kMaxLanes samples are formed across the whole
   /// wave, and the stop flag is polled before every group. Returns the
@@ -544,9 +548,8 @@ class SsfEvaluator {
   Result<SsfResult> run_waves(std::size_t n, std::size_t shard,
                               ReduceState state, JournalWriter* writer,
                               const SampleSource& wave_samples) const;
-  /// Replays the journal on resume (cross-checking every journaled sample
-  /// against `wave_samples` and folding it into `state`), then opens
-  /// `writer` to append — or starts a fresh journal.
+  /// open_campaign_journal (mc/journal.h), folding the journaled prefix
+  /// into `state`.
   Status open_journal(const JournalOptions& options, std::size_t n,
                       const SampleSource& wave_samples, ReduceState& state,
                       JournalWriter& writer) const;

@@ -46,10 +46,8 @@ bool decode_frame(std::string_view payload, JournalShards* shards) {
   if (!get_le(payload, &off, &first_index) || !get_le(payload, &off, &count)) {
     return false;
   }
-  // Frames need not be in index order: a supervised worker journals shards
-  // in *assignment* order, and a shard rescued from a crashed peer lands
-  // after higher-indexed shards in the survivor's file. Spans are sorted
-  // and overlap-checked after the scan.
+  // Frames need not be in index order in a shard file read by
+  // JournalReader: spans are sorted and overlap-checked after the scan.
   if (shards->spans.empty() ||
       first_index != shards->spans.back().end_index()) {
     shards->spans.emplace_back();
@@ -129,10 +127,16 @@ bool deserialize_record(std::string_view data, std::size_t* offset,
   record->sample.t = t;
   record->sample.center = center;
   record->sample.impact_cycles = impact;
-  if (path > static_cast<std::uint8_t>(OutcomePath::kFailed)) return false;
+  // Exact decoding: only the bytes serialize_record writes are accepted, so
+  // a decoded record re-encodes to its input.
+  if (path > static_cast<std::uint8_t>(OutcomePath::kFailed) || success > 1 ||
+      retried > 1 ||
+      fail_code > static_cast<std::uint16_t>(ErrorCode::kUnavailable)) {
+    return false;
+  }
   record->path = static_cast<OutcomePath>(path);
-  record->success = success != 0;
-  record->retried = retried != 0;
+  record->success = success == 1;
+  record->retried = retried == 1;
   record->fail_code = static_cast<ErrorCode>(fail_code);
   std::uint32_t nflips = 0;
   if (!get_le(data, offset, &nflips)) return false;
@@ -188,6 +192,63 @@ Result<JournalContents> read_journal(const std::string& dir) {
   contents.valid_bytes = s.valid_bytes;
   if (!s.spans.empty()) contents.records = std::move(s.spans.front().records);
   return contents;
+}
+
+Result<std::vector<SampleRecord>> open_campaign_journal(
+    const JournalOptions& options, std::size_t n,
+    const SsfEvaluator::SampleSource& expected, MetricsSink* metrics,
+    JournalWriter& writer) {
+  if (options.dir.empty()) {
+    return Status(ErrorCode::kInvalidArgument, "journal directory is empty");
+  }
+  if (options.shard_size == 0) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "journal shard_size must be > 0");
+  }
+  JournalMeta meta;
+  meta.fingerprint = options.fingerprint;
+  meta.total_samples = n;
+  meta.context = options.context;
+  std::vector<SampleRecord> prefix;
+  std::uint64_t valid_bytes = 0;
+  if (options.resume) {
+    Result<JournalContents> loaded = read_journal(options.dir);
+    if (!loaded.is_ok()) return loaded.status();
+    JournalContents& j = loaded.value();
+    if (j.meta.fingerprint != meta.fingerprint ||
+        j.meta.total_samples != meta.total_samples) {
+      return Status(ErrorCode::kJournalCorrupt,
+                    "journal belongs to a different campaign (fingerprint or "
+                    "sample count mismatch)");
+    }
+    // Cross-check the journaled prefix against the re-drawn (or
+    // re-enumerated) stream: a mismatch means the sampler, seed, config or
+    // bound space changed under the journal.
+    const std::size_t done = std::min(j.records.size(), n);
+    for (std::size_t lo = 0; lo < done; lo += SsfEvaluator::kWaveSamples) {
+      const std::size_t hi = std::min(lo + SsfEvaluator::kWaveSamples, done);
+      const faultsim::FaultSample* want = expected(lo, hi);
+      for (std::size_t i = lo; i < hi; ++i) {
+        if (!sample_matches(j.records[i].sample, want[i - lo])) {
+          return Status(ErrorCode::kJournalCorrupt,
+                        "journaled sample " + std::to_string(i) +
+                            " does not match the re-drawn sample stream");
+        }
+      }
+    }
+    j.records.resize(done);
+    prefix = std::move(j.records);
+    valid_bytes = j.valid_bytes;
+  }
+  writer.set_metrics(metrics);
+  const Status open = prefix.empty()
+                          ? writer.open_fresh(options.dir, meta)
+                          : writer.open_append(options.dir, valid_bytes);
+  if (!open.is_ok()) return open;
+  if (metrics != nullptr) {
+    metrics->add_counter("journal.resumed_records", prefix.size());
+  }
+  return prefix;
 }
 
 // The meta record, then frames. Torn tails and mid-file damage follow the
@@ -293,7 +354,6 @@ Result<MergedJournal> JournalReader::merge_partial(const std::string& dir,
                         " belongs to a different campaign than " + names[0] +
                         " (fingerprint or sample count mismatch)");
     }
-    merged.valid_bytes[name] = s.valid_bytes;
     for (JournalSpan& span : s.spans) {
       if (span.end_index() > merged.meta.total_samples) {
         return Status(ErrorCode::kJournalCorrupt,

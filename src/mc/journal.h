@@ -1,9 +1,11 @@
 // Crash-safe append-only run journal for Monte Carlo campaigns.
 //
 // A campaign of 1e4–1e6 samples can run for hours; the journal makes a
-// SIGKILL (or power loss) cost at most one shard of work. The file
-// (`<dir>/campaign.fj`, or a supervised worker's `worker-<k>.fj`) is a
-// record log (util/record_log.h), all integers little-endian:
+// SIGKILL (or power loss) cost at most one wave of work. Every campaign,
+// in-process or supervised, keeps one file, `<dir>/campaign.fj`, with one
+// writer: the engine's wave loop, or the supervisor, which journals the
+// records its workers stream back (mc/supervisor.h). The file is a record
+// log (util/record_log.h), all integers little-endian:
 //
 //   magic "FAVJRNL3"
 //   record 0:  u64 fingerprint | u64 total_samples | context bytes
@@ -11,8 +13,9 @@
 //
 // where every record is framed `u32 len | payload | u32 crc32c(payload)`.
 // Each frame record holds one completed shard of consecutive sample indices
-// and is fsynced before the next shard starts, so the file always contains
-// a checksummed prefix of the campaign. The reader drops a torn tail (a
+// and is fsynced before the next shard is appended, so the file always
+// contains a checksummed prefix of the campaign, in shards of `shard_size`
+// from the resume point (DESIGN.md §6n). The reader drops a torn tail (a
 // partially-written last record is the normal crash artifact) but reports
 // kJournalCorrupt for mid-file damage — a bad record followed by more data —
 // and for header/meta corruption, including journals written in the older
@@ -22,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -54,10 +56,10 @@ struct JournalContents {
   std::uint64_t valid_bytes = 0;
 };
 
-/// One run of consecutive sample records starting at `first_index`. Worker
-/// shard files hold several spans: a worker journals every shard it is
-/// assigned, and assignments interleave across workers, so one file covers a
-/// non-contiguous subset of the campaign.
+/// One run of consecutive sample records starting at `first_index`. A file
+/// read with JournalReader::read_shards may hold several spans (a
+/// non-contiguous subset of the campaign); `campaign.fj` always reads back
+/// as at most one span at index 0.
 struct JournalSpan {
   std::uint64_t first_index = 0;
   std::vector<SampleRecord> records;
@@ -67,11 +69,8 @@ struct JournalSpan {
 
 /// Everything recovered from one shard file: the header meta plus its spans
 /// in strictly increasing, non-overlapping index order (adjacent frames are
-/// coalesced, so `campaign.fj` written by a single-process run reads back as
-/// one span at index 0). On-disk frame order is free — a supervised worker
-/// journals shards in *assignment* order, which drops below earlier indices
-/// when it picks up a shard rescued from a crashed peer — so the reader
-/// sorts; overlapping frames within one file are corruption.
+/// coalesced). On-disk frame order is free, so the reader sorts; overlapping
+/// frames within one file are corruption.
 struct JournalShards {
   JournalMeta meta;
   std::vector<JournalSpan> spans;
@@ -79,16 +78,12 @@ struct JournalShards {
 };
 
 /// Sparse union of several shard files (see JournalReader::merge_partial):
-/// `records[i]` is valid iff `present[i]`. Also carries what a resuming
-/// writer needs: the validated prefix size of every source file.
+/// `records[i]` is valid iff `present[i]`.
 struct MergedJournal {
   JournalMeta meta;
   std::vector<SampleRecord> records;   // size == meta.total_samples
   std::vector<std::uint8_t> present;   // parallel to records
   std::size_t present_count = 0;
-  /// Validated prefix size per shard file name (for JournalWriter::
-  /// open_append when a worker resumes its own file).
-  std::map<std::string, std::uint64_t> valid_bytes;
 
   bool complete() const { return present_count == records.size(); }
   /// Maximal runs [first, last) of missing sample indices, in order.
@@ -114,9 +109,25 @@ bool sample_matches(const faultsim::FaultSample& a,
 /// yields kJournalIoError.
 Result<JournalContents> read_journal(const std::string& dir);
 
-/// Multi-file journal access for supervised campaigns, where every worker
-/// process appends the shards it completes to its own `worker-<k>.fj` and
-/// the supervisor stitches the campaign back together.
+/// The one open step of a journaled campaign of `n` samples, shared by the
+/// in-process engine and the supervisor. Validates `options` (non-empty dir,
+/// shard_size > 0). A fresh run starts a new `<dir>/campaign.fj`. A resume
+/// reads it with read_journal, rejects another campaign's journal, checks
+/// every journaled sample against `expected` (the samples of indices
+/// [lo, hi), queried one wave at a time) and opens `writer` to append after
+/// the validated prefix — or starts afresh when no record was journaled.
+/// Returns the journaled records, in index order; adds
+/// "journal.resumed_records" to `metrics` (may be null), which also becomes
+/// the writer's sink.
+Result<std::vector<SampleRecord>> open_campaign_journal(
+    const JournalOptions& options, std::size_t n,
+    const SsfEvaluator::SampleSource& expected, MetricsSink* metrics,
+    JournalWriter& writer);
+
+/// Multi-file journal access: reads a set of shard files that together
+/// cover one campaign (the layout older supervised runs wrote, one file per
+/// worker). No campaign writes such a set any more; the per-layer benchmark
+/// replay still reads one.
 class JournalReader {
  public:
   /// Reads and verifies one shard file. Frames may start at any sample index
@@ -161,8 +172,7 @@ class JournalWriter {
 
   /// Starts a new journal (truncating any existing one) and commits the
   /// header. Creates `dir` if needed. `file` selects the file name inside
-  /// `dir`; the default is the single-process campaign journal, supervised
-  /// workers pass their own "worker-<k>.fj".
+  /// `dir`; every campaign uses the default.
   Status open_fresh(const std::string& dir, const JournalMeta& meta,
                     const std::string& file = "campaign.fj");
   /// Opens an existing journal for appending (after read_journal /

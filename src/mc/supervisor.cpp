@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 
 #include "mc/journal.h"
 #include "util/io.h"
@@ -37,15 +36,14 @@ std::string encode_assign(std::uint64_t lo, std::uint64_t hi) {
   return out;
 }
 
-std::string encode_progress(const std::vector<ProgressEntry>& entries) {
+std::string encode_progress(
+    const std::vector<std::pair<std::uint64_t, SampleRecord>>& entries) {
   FAV_CHECK(!entries.empty() && entries.size() <= kMaxProgressEntries);
   std::string out = typed_message(WireType::kProgress);
   put_le(out, static_cast<std::uint8_t>(entries.size()));
-  for (const ProgressEntry& e : entries) {
-    put_le(out, e.index);
-    put_le(out, e.contribution);
-    put_le(out, e.weight);
-    put_le(out, static_cast<std::uint8_t>(e.failed ? 1 : 0));
+  for (const auto& [index, record] : entries) {
+    put_le(out, index);
+    serialize_record(record, out);
   }
   return out;
 }
@@ -89,15 +87,11 @@ bool decode_message(std::string_view payload, WireMessage* out) {
         return false;
       }
       out->progress.resize(count);
-      for (ProgressEntry& e : out->progress) {
-        std::uint8_t failed = 0;
-        if (!get_le(payload, &off, &e.index) ||
-            !get_le(payload, &off, &e.contribution) ||
-            !get_le(payload, &off, &e.weight) ||
-            !get_le(payload, &off, &failed) || failed > 1) {
+      for (auto& [index, record] : out->progress) {
+        if (!get_le(payload, &off, &index) ||
+            !deserialize_record(payload, &off, &record)) {
           return false;
         }
-        e.failed = failed == 1;
       }
       return off == payload.size();
     }
@@ -108,10 +102,6 @@ bool decode_message(std::string_view payload, WireMessage* out) {
   return false;
 }
 
-std::string worker_journal_file(std::size_t worker_id) {
-  return "worker-" + std::to_string(worker_id) + ".fj";
-}
-
 // --- worker side ----------------------------------------------------------
 
 void WorkerHeartbeat::on_sample(const SampleRecord& record,
@@ -119,16 +109,16 @@ void WorkerHeartbeat::on_sample(const SampleRecord& record,
   const std::uint64_t index =
       base_.load(std::memory_order_relaxed) + slice_index;
   // Test-only chaos injection: die exactly like a segfault would —
-  // mid-shard, after the sample's heartbeat, with the shard unjournaled.
+  // mid-assignment, right after sending the sample's record.
   const bool crash =
       crash_on_ == index ||
       (crash_after_ != 0 &&
        completed_.fetch_add(1, std::memory_order_relaxed) + 1 ==
            crash_after_);
+  std::pair<std::uint64_t, SampleRecord> entry(index, record);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    pending_.push_back({index, record.contribution, record.sample.weight,
-                        record.path == OutcomePath::kFailed});
+    pending_.push_back(std::move(entry));
     if (crash || pending_.size() == kMaxProgressEntries) flush_locked();
   }
   if (crash) ::raise(SIGKILL);
@@ -152,40 +142,6 @@ Status run_worker_loop(const SsfEvaluator& evaluator,
                        WorkerHeartbeat& heartbeat,
                        const WorkerLoopOptions& options,
                        MetricsSink* metrics) {
-  // The journal needs every record of an assigned shard.
-  FAV_ENSURE(evaluator.config().keep_records &&
-             evaluator.config().record_capacity == 0);
-  FAV_ENSURE(options.shard_size > 0);
-
-  JournalWriter writer;
-  writer.set_metrics(metrics);
-  const std::string file = worker_journal_file(options.worker_id);
-  bool appended = false;
-  {
-    // Restart-aware open: if our shard file already belongs to this campaign
-    // (we are a respawn, or a resumed run), append after its valid prefix —
-    // the supervisor has already harvested those shards and will not
-    // reassign them.
-    Result<JournalShards> existing =
-        JournalReader::read_shards(options.dir, file);
-    if (existing.is_ok() &&
-        existing.value().meta.fingerprint == options.fingerprint &&
-        existing.value().meta.total_samples == samples.size()) {
-      const Status opened =
-          writer.open_append(options.dir, existing.value().valid_bytes, file);
-      if (!opened.is_ok()) return opened;
-      appended = true;
-    }
-  }
-  if (!appended) {
-    JournalMeta meta;
-    meta.fingerprint = options.fingerprint;
-    meta.total_samples = samples.size();
-    meta.context = options.context;
-    const Status opened = writer.open_fresh(options.dir, meta, file);
-    if (!opened.is_ok()) return opened;
-  }
-
   const Status ready = write_frame(options.out_fd, encode_ready());
   if (!ready.is_ok()) return Status::ok();  // supervisor already gone
 
@@ -224,21 +180,11 @@ Status run_worker_loop(const SsfEvaluator& evaluator,
     std::vector<faultsim::FaultSample> slice(
         samples.begin() + static_cast<std::ptrdiff_t>(msg.lo),
         samples.begin() + static_cast<std::ptrdiff_t>(msg.hi));
-    // One batch per assignment: te-groups form across the whole wave.
-    const SsfResult run = evaluator.run_batch(std::move(slice));
-    FAV_CHECK(run.records.size() == msg.hi - msg.lo);
+    // One batch per assignment: te-groups form across the whole wave. Its
+    // records reach the supervisor through the heartbeat, so once the
+    // flush is written every record of [lo, hi) has been sent.
+    (void)evaluator.run_batch(std::move(slice));
     heartbeat.flush();
-    // Journal first, acknowledge second: a DONE without a durable shard
-    // could never be reconstructed, while a journaled shard whose DONE frame
-    // is lost is harvested from the file after our death. Each shard is its
-    // own fsynced record, so durability and quarantine stay per shard.
-    for (std::uint64_t lo = msg.lo; lo < msg.hi; lo += options.shard_size) {
-      const std::uint64_t hi =
-          std::min<std::uint64_t>(lo + options.shard_size, msg.hi);
-      const Status journaled = writer.append_shard(
-          lo, &run.records[lo - msg.lo], static_cast<std::size_t>(hi - lo));
-      if (!journaled.is_ok()) return journaled;
-    }
     const Status done = write_frame(options.out_fd,
                                     encode_done(msg.lo, msg.hi));
     if (!done.is_ok()) return Status::ok();  // supervisor gone
@@ -255,6 +201,7 @@ struct ShardState {
   std::uint64_t hi = 0;
   S state = S::kPending;
   int attempts = 0;  // worker deaths while this shard was assigned
+  std::uint64_t received = 0;  // records of the current attempt that arrived
 };
 
 struct WorkerSlot {
@@ -277,18 +224,26 @@ struct WorkerSlot {
 };
 
 /// One supervised fleet run: spawns the workers, drives the poll/watchdog
-/// event loop, and leaves the shard states + presence bitmap describing what
-/// got journaled. Single-threaded by design — all worker concurrency lives
-/// in the OS processes.
+/// event loop, keeps the records the workers stream back, and appends each
+/// shard that extends the contiguous resolved prefix to the journal.
+/// Single-threaded by design — all worker concurrency lives in the OS
+/// processes.
 class Fleet {
  public:
-  Fleet(const SupervisorConfig& config, std::vector<ShardState>* shards,
-        std::vector<std::uint8_t>* present, SupervisedResult* sup)
-      : config_(config), shards_(shards), present_(present), sup_(sup) {
-    for (const ShardState& s : *shards_) {
-      if (s.state == ShardState::S::kPending) ++unresolved_;
-    }
-  }
+  /// `shards` covers [shards[0].lo, n) in whole journal shards; `records`
+  /// (size n) receives every record, `writer` is the open campaign journal.
+  Fleet(const SupervisorConfig& config,
+        const std::vector<faultsim::FaultSample>& samples,
+        std::vector<ShardState>* shards, std::vector<SampleRecord>* records,
+        JournalWriter* writer, SupervisedResult* sup)
+      : config_(config),
+        samples_(samples),
+        shards_(shards),
+        records_(records),
+        writer_(writer),
+        sup_(sup),
+        have_(samples.size(), 0),
+        unresolved_(shards->size()) {}
 
   Status run() {
     const std::size_t count = std::max<std::size_t>(
@@ -328,6 +283,11 @@ class Fleet {
   }
 
   const std::vector<WorkerSlot>& slots() const { return slots_; }
+  /// End of the journaled prefix: every record below it is committed.
+  std::uint64_t committed_end() const {
+    return committed_ < shards_->size() ? (*shards_)[committed_].lo
+                                        : samples_.size();
+  }
 
  private:
   void log_line(const std::string& message) const {
@@ -375,7 +335,7 @@ class Fleet {
       }
     }
     const std::size_t wave_shards = std::max<std::size_t>(
-        1, SsfEvaluator::kWaveSamples / config_.shard_size);
+        1, SsfEvaluator::kWaveSamples / config_.journal.shard_size);
     const std::size_t cap =
         sh[*first].attempts > 0
             ? 1
@@ -559,11 +519,8 @@ class Fleet {
           s.backoff_ms = config_.backoff_base_ms;
           break;
         case WireType::kProgress:
-          for (const ProgressEntry& e : msg.progress) {
-            if (config_.progress != nullptr) {
-              config_.progress->record(e.contribution, e.weight, e.failed);
-            }
-            if (config_.on_sample) config_.on_sample();
+          for (auto& [index, record] : msg.progress) {
+            if (!accept_record(k, index, std::move(record))) return;
           }
           break;
         case WireType::kDone:
@@ -590,6 +547,47 @@ class Fleet {
     }
   }
 
+  /// Takes one streamed record: its index must lie in worker k's
+  /// assignment and not have arrived yet (else the worker is killed and its
+  /// unresolved shards charged), and its sample must be the supervisor's
+  /// own (else the run fails: the worker derived another batch). A shard
+  /// whose records have all arrived is resolved and committed as soon as it
+  /// extends the prefix. False when the worker was killed or the run failed.
+  bool accept_record(std::size_t k, std::uint64_t index,
+                     SampleRecord&& record) {
+    const WorkerSlot& s = slots_[k];
+    if (s.first < 0 || index < (*shards_)[s.first].lo ||
+        index >= (*shards_)[s.end - 1].hi || have_[index] != 0) {
+      kill_worker(k, "worker " + std::to_string(k) + " sent sample " +
+                         std::to_string(index) +
+                         " outside its assignment or twice");
+      return false;
+    }
+    if (!sample_matches(record.sample, samples_[index])) {
+      fatal_ = Status(ErrorCode::kSubprocessFailed,
+                      "worker " + std::to_string(k) + " evaluated sample " +
+                          std::to_string(index) +
+                          ", which differs from the supervisor's batch");
+      return false;
+    }
+    if (config_.progress != nullptr) {
+      config_.progress->record(record.contribution, record.sample.weight,
+                               record.path == OutcomePath::kFailed);
+    }
+    if (config_.on_sample) config_.on_sample();
+    have_[index] = 1;
+    (*records_)[index] = std::move(record);
+    ShardState& sh = (*shards_)[(index - (*shards_)[0].lo) /
+                                config_.journal.shard_size];
+    if (++sh.received == sh.hi - sh.lo) {
+      sh.state = ShardState::S::kDone;
+      --unresolved_;
+      commit();
+    }
+    return fatal_.is_ok();
+  }
+
+  /// DONE: every record of the assignment must already have arrived.
   void handle_done(std::size_t k, const WireMessage& msg) {
     WorkerSlot& s = slots_[k];
     if (s.first < 0 || (*shards_)[s.first].lo != msg.lo ||
@@ -599,13 +597,47 @@ class Fleet {
       return;
     }
     for (int i = s.first; i < s.end; ++i) {
-      ShardState& sh = (*shards_)[i];
-      if (sh.state != ShardState::S::kAssigned) continue;
-      sh.state = ShardState::S::kDone;
-      --unresolved_;
-      for (std::uint64_t j = sh.lo; j < sh.hi; ++j) (*present_)[j] = 1;
+      if ((*shards_)[i].state != ShardState::S::kDone) {
+        kill_worker(k, "worker " + std::to_string(k) +
+                           " acknowledged its assignment before sending "
+                           "every record");
+        return;
+      }
     }
     s.first = s.end = -1;
+  }
+
+  /// Appends every resolved shard that extends the committed prefix, each
+  /// as one fsynced journal record. A full or failing device stops the
+  /// campaign gracefully: nothing more is assigned or committed, and no
+  /// shard is charged.
+  void commit() {
+    while (!journal_full_ && committed_ < shards_->size()) {
+      const ShardState& sh = (*shards_)[committed_];
+      if (sh.state != ShardState::S::kDone &&
+          sh.state != ShardState::S::kQuarantined) {
+        return;
+      }
+      const Status appended = writer_->append_shard(
+          sh.lo, &(*records_)[sh.lo], static_cast<std::size_t>(sh.hi - sh.lo));
+      if (appended.code() == ErrorCode::kStorageFull) {
+        journal_full_ = true;
+        stopping_ = true;
+        sup_->storage_full_stops = 1;
+        if (config_.metrics != nullptr) {
+          config_.metrics->add_counter("journal.storage_full_stops");
+        }
+        log_line("journal device full or failing (" + appended.to_string() +
+                 "); finishing in-flight assignments and stopping for "
+                 "resume");
+        return;
+      }
+      if (!appended.is_ok()) {
+        fatal_ = appended;
+        return;
+      }
+      ++committed_;
+    }
   }
 
   void kill_worker(std::size_t k, const std::string& reason) {
@@ -619,58 +651,28 @@ class Fleet {
     s.proc.close_pipes();
     const Subprocess::ExitStatus st = s.proc.wait();
     const bool clean = !st.signaled && st.exit_code == 0 && s.shutdown_sent;
-    const bool storage_full =
-        !st.signaled && st.exit_code == kExitResumableStop;
     s.alive = false;
     s.proc = Subprocess();
 
-    // Harvest the dead worker's journal *before* touching its assignment:
-    // a shard can be fully journaled with its DONE frame lost in the pipe,
-    // and reassigning it would make two files cover the same samples.
-    const Status harvested = harvest(k);
-    if (!harvested.is_ok()) {
-      fatal_ = harvested;
-      return;
-    }
-
+    // Shards whose records all arrived stay resolved. Every other shard of
+    // the assignment drops its partial records (it is re-evaluated whole)
+    // and is charged one attempt.
     for (int i = s.first; i < s.end; ++i) {
       ShardState& sh = (*shards_)[i];
       if (sh.state != ShardState::S::kAssigned) continue;
-      // A worker that stopped itself because the journal device is full or
-      // failing did not die of the shard: it goes back to pending with no
-      // attempts charge, so a post-resume run (with space freed) retries it
-      // instead of quarantining it. Any other death charges every shard of
-      // the assignment it did not journal.
-      if (!storage_full && ++sh.attempts >= config_.max_shard_attempts) {
-        sh.state = ShardState::S::kQuarantined;
-        --unresolved_;
-        ++sup_->quarantined_shards;
-        sup_->quarantined_samples += sh.hi - sh.lo;
-        log_line("quarantining shard [" + std::to_string(sh.lo) + ", " +
-                 std::to_string(sh.hi) + ") after " +
-                 std::to_string(sh.attempts) + " worker crash(es)");
+      std::fill(have_.begin() + static_cast<std::ptrdiff_t>(sh.lo),
+                have_.begin() + static_cast<std::ptrdiff_t>(sh.hi), 0);
+      sh.received = 0;
+      if (++sh.attempts >= config_.max_shard_attempts) {
+        quarantine(sh);
       } else {
         sh.state = ShardState::S::kPending;
       }
     }
     s.first = s.end = -1;
+    commit();  // a quarantined shard may extend the prefix
 
     if (clean) return;
-    if (storage_full) {
-      // Fleet-wide graceful stop: other workers finish (or likewise abort)
-      // their in-flight shard and are shut down; nothing respawns. The run
-      // ends as an interrupted, resumable campaign.
-      s.ready = false;
-      s.shutdown_sent = false;
-      ++sup_->storage_full_stops;
-      if (!stopping_) {
-        stopping_ = true;
-        log_line("worker " + std::to_string(k) +
-                 " stopped: storage full/failing while journaling; "
-                 "finishing in-flight shards and stopping for resume");
-      }
-      return;
-    }
     log_line("worker " + std::to_string(k) + " died unexpectedly (" +
              (st.signaled ? "signal " + std::to_string(st.term_signal)
                           : "exit code " + std::to_string(st.exit_code)) +
@@ -685,46 +687,30 @@ class Fleet {
     }
   }
 
-  /// Reads worker k's shard file and folds every journaled span into the
-  /// presence bitmap; shards it now fully covers are resolved as done.
-  Status harvest(std::size_t k) {
-    Result<JournalShards> shards =
-        JournalReader::read_shards(config_.dir, worker_journal_file(k));
-    if (!shards.is_ok()) {
-      // Died before creating its file: no progress to recover. Anything
-      // else (corruption) poisons the final merge and is fatal now.
-      if (shards.status().code() == ErrorCode::kJournalIoError) {
-        return Status::ok();
-      }
-      return shards.status();
+  /// Writes the shard off: kWorkerCrashed records synthesized from the
+  /// supervisor's own batch keep the estimate well-defined over completed
+  /// samples, surface the loss in failure_counts, and are journaled like
+  /// any other shard (so a resume does not retry it).
+  void quarantine(ShardState& sh) {
+    sh.state = ShardState::S::kQuarantined;
+    --unresolved_;
+    ++sup_->quarantined_shards;
+    sup_->quarantined_samples += sh.hi - sh.lo;
+    const std::string range =
+        "[" + std::to_string(sh.lo) + ", " + std::to_string(sh.hi) + ")";
+    log_line("quarantining shard " + range + " after " +
+             std::to_string(sh.attempts) + " worker crash(es)");
+    for (std::uint64_t i = sh.lo; i < sh.hi; ++i) {
+      SampleRecord rec;
+      rec.sample = samples_[i];
+      rec.path = OutcomePath::kFailed;
+      rec.fail_code = ErrorCode::kWorkerCrashed;
+      rec.fail_reason = "worker process crashed evaluating shard " + range +
+                        " " + std::to_string(sh.attempts) +
+                        " time(s); quarantined";
+      (*records_)[i] = std::move(rec);
+      have_[i] = 1;
     }
-    if (shards.value().meta.fingerprint != config_.fingerprint) {
-      return Status(ErrorCode::kJournalCorrupt,
-                    worker_journal_file(k) +
-                        " carries a foreign campaign fingerprint");
-    }
-    for (const JournalSpan& span : shards.value().spans) {
-      const std::uint64_t end =
-          std::min<std::uint64_t>(span.end_index(), present_->size());
-      for (std::uint64_t i = span.first_index; i < end; ++i) {
-        (*present_)[i] = 1;
-      }
-    }
-    for (ShardState& sh : *shards_) {
-      if (sh.state != ShardState::S::kPending &&
-          sh.state != ShardState::S::kAssigned) {
-        continue;
-      }
-      bool covered = true;
-      for (std::uint64_t i = sh.lo; i < sh.hi && covered; ++i) {
-        covered = (*present_)[i] != 0;
-      }
-      if (covered) {
-        sh.state = ShardState::S::kDone;
-        --unresolved_;
-      }
-    }
-    return Status::ok();
   }
 
   void enforce_deadlines() {
@@ -739,11 +725,16 @@ class Fleet {
   }
 
   const SupervisorConfig& config_;
+  const std::vector<faultsim::FaultSample>& samples_;
   std::vector<ShardState>* shards_;
-  std::vector<std::uint8_t>* present_;
+  std::vector<SampleRecord>* records_;
+  JournalWriter* writer_;
   SupervisedResult* sup_;
+  std::vector<std::uint8_t> have_;  // records_[i] arrived (or quarantined)
   std::vector<WorkerSlot> slots_;
   std::size_t unresolved_ = 0;
+  std::size_t committed_ = 0;  // shards appended to the journal
+  bool journal_full_ = false;
   bool stopping_ = false;
   Status fatal_;
 };
@@ -772,14 +763,6 @@ Result<SupervisedResult> CampaignSupervisor::run_batch(
     return Status(ErrorCode::kInvalidArgument,
                   "supervisor requires at least one worker");
   }
-  if (config_.shard_size == 0) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "supervisor shard_size must be > 0");
-  }
-  if (config_.dir.empty()) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "supervisor requires a journal directory");
-  }
   if (config_.worker_command.empty()) {
     return Status(ErrorCode::kInvalidArgument,
                   "supervisor requires a worker command");
@@ -787,76 +770,32 @@ Result<SupervisedResult> CampaignSupervisor::run_batch(
   // A worker dying mid-write must never SIGPIPE the supervisor.
   ::signal(SIGPIPE, SIG_IGN);
 
-  std::error_code ec;
-  std::filesystem::create_directories(config_.dir, ec);
-  if (ec) {
-    return Status(ErrorCode::kJournalIoError,
-                  "cannot create journal directory " + config_.dir + ": " +
-                      ec.message());
+  JournalWriter writer;
+  Result<std::vector<SampleRecord>> prefix = open_campaign_journal(
+      config_.journal, n,
+      [&samples](std::size_t lo, std::size_t) { return samples.data() + lo; },
+      config_.metrics, writer);
+  if (!prefix.is_ok()) return prefix.status();
+  std::vector<SampleRecord> records = std::move(prefix).value();
+  std::size_t len = records.size();
+  records.resize(n);
+
+  // Work list: [len, n) in shards of shard_size from the resume point — the
+  // in-process engine's commit boundaries, so the journal bytes match.
+  std::vector<ShardState> shards;
+  for (std::size_t lo = len; lo < n; lo += config_.journal.shard_size) {
+    ShardState sh;
+    sh.lo = lo;
+    sh.hi = std::min(lo + config_.journal.shard_size, n);
+    shards.push_back(sh);
   }
 
   SupervisedResult sup;
-  std::vector<std::uint8_t> present(n, 0);
-  if (!config_.resume) {
-    // A fresh campaign must not inherit stale shard files: workers append to
-    // any file that carries the campaign fingerprint, which would duplicate
-    // spans the moment the same campaign is re-run from scratch.
-    std::filesystem::directory_iterator it(config_.dir, ec);
-    if (!ec) {
-      for (const auto& entry : it) {
-        const std::string name = entry.path().filename().string();
-        if (name.rfind("worker-", 0) == 0 &&
-            name.size() > 10 &&
-            name.compare(name.size() - 3, 3, ".fj") == 0) {
-          std::filesystem::remove(entry.path(), ec);
-          if (ec) {
-            return Status(ErrorCode::kJournalIoError,
-                          "cannot remove stale shard file " + name + ": " +
-                              ec.message());
-          }
-        }
-      }
-    }
-  } else {
-    Result<MergedJournal> merged = JournalReader::merge_partial(
-        config_.dir, worker_journal_pattern());
-    if (merged.is_ok()) {
-      if (merged.value().meta.fingerprint != config_.fingerprint ||
-          merged.value().meta.total_samples != n) {
-        return Status(ErrorCode::kJournalCorrupt,
-                      "journal belongs to a different campaign (fingerprint "
-                      "or sample count mismatch)");
-      }
-      present = std::move(merged.value().present);
-    } else if (merged.status().code() != ErrorCode::kJournalIoError) {
-      return merged.status();
-    }
-    // kJournalIoError = no shard files yet: resuming a campaign that never
-    // started is just a fresh start.
-  }
-
-  // Work list: the missing index ranges, chopped to shard_size. No alignment
-  // requirement — workers journal exactly the ranges they are assigned, so a
-  // resume with a different shard size still fits together.
-  std::vector<ShardState> shards;
-  for (std::size_t i = 0; i < n;) {
-    if (present[i] != 0) {
-      ++i;
-      continue;
-    }
-    std::size_t j = i;
-    while (j < n && present[j] == 0 && j - i < config_.shard_size) ++j;
-    ShardState sh;
-    sh.lo = i;
-    sh.hi = j;
-    shards.push_back(sh);
-    i = j;
-  }
-
   if (!shards.empty()) {
-    Fleet fleet(config_, &shards, &present, &sup);
+    Fleet fleet(config_, samples, &shards, &records, &writer, &sup);
     const Status ran = fleet.run();
     if (!ran.is_ok()) return ran;
+    len = static_cast<std::size_t>(fleet.committed_end());
     if (config_.metrics != nullptr) {
       for (const WorkerSlot& s : fleet.slots()) {
         config_.metrics->merge(s.sink);
@@ -865,60 +804,9 @@ Result<SupervisedResult> CampaignSupervisor::run_batch(
     }
   }
 
-  // Assemble the campaign from disk — the journals are the single source of
-  // truth for everything the workers evaluated.
+  // An interrupted campaign (stop flag, full disk) reduces the committed
+  // prefix, exactly like the single-process engine.
   ScopeTimer merge_timer(config_.metrics, "supervisor.merge_ns");
-  std::vector<SampleRecord> records(n);
-  std::vector<std::uint8_t> have(n, 0);
-  if (n > 0) {
-    Result<MergedJournal> merged = JournalReader::merge_partial(
-        config_.dir, worker_journal_pattern());
-    if (merged.is_ok()) {
-      if (merged.value().meta.fingerprint != config_.fingerprint ||
-          merged.value().meta.total_samples != n) {
-        return Status(ErrorCode::kJournalCorrupt,
-                      "journal belongs to a different campaign (fingerprint "
-                      "or sample count mismatch)");
-      }
-      records = std::move(merged.value().records);
-      have = std::move(merged.value().present);
-    } else if (!shards.empty() ||
-               merged.status().code() != ErrorCode::kJournalIoError) {
-      return merged.status();
-    }
-  }
-
-  // Quarantined shards become kWorkerCrashed records synthesized from the
-  // supervisor's own sample batch: the estimate stays well-defined over
-  // completed samples and the crash cost is visible in failure_counts.
-  for (const ShardState& sh : shards) {
-    if (sh.state != ShardState::S::kQuarantined) continue;
-    for (std::uint64_t i = sh.lo; i < sh.hi; ++i) {
-      SampleRecord rec;
-      rec.sample = samples[i];
-      rec.path = OutcomePath::kFailed;
-      rec.fail_code = ErrorCode::kWorkerCrashed;
-      rec.fail_reason = "worker process crashed evaluating shard [" +
-                        std::to_string(sh.lo) + ", " +
-                        std::to_string(sh.hi) + ") " +
-                        std::to_string(sh.attempts) + " time(s); quarantined";
-      records[i] = std::move(rec);
-      have[i] = 1;
-    }
-  }
-
-  // An interrupted (graceful-stop) campaign reduces the contiguous prefix,
-  // exactly like the single-process engine; later journaled spans stay on
-  // disk for the resume.
-  std::size_t len = 0;
-  while (len < n && have[len] != 0) ++len;
-  for (std::size_t i = 0; i < len; ++i) {
-    if (!sample_matches(records[i].sample, samples[i])) {
-      return Status(ErrorCode::kJournalCorrupt,
-                    "journaled sample " + std::to_string(i) +
-                        " does not match the re-drawn sample stream");
-    }
-  }
   records.resize(len);
   SsfResult result = evaluator_->reduce_records(std::move(records));
   result.interrupted = len < n;

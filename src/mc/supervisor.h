@@ -14,21 +14,24 @@
 // pure function of the seed), and evaluates the contiguous sample-index
 // ranges the supervisor assigns over a length-prefixed pipe protocol. One
 // assignment is up to a scheduling wave of whole `shard_size` shards,
-// evaluated as one batch so te-groups form across the whole wave. A worker
-// journals every shard of the assignment to its own `worker-<k>.fj` before
-// acknowledging it, so the supervisor can always reconstruct what a dead
-// worker finished. Liveness is PROGRESS frames of up to 64 samples each: a
-// worker that misses its heartbeat deadline (or dies) is SIGKILLed and
-// respawned with exponential backoff; a shard whose evaluation kills
-// workers `max_shard_attempts` times is quarantined — its samples are
-// recorded as OutcomePath::kFailed with ErrorCode::kWorkerCrashed instead
+// evaluated as one batch so te-groups form across the whole wave. Workers
+// keep no files: every evaluated sample goes back to the supervisor as its
+// full journal record, in PROGRESS frames of up to 64 records that double
+// as the heartbeat. The supervisor is the campaign's only journal writer:
+// it keeps the records in memory and appends each shard that extends the
+// contiguous resolved prefix to `<dir>/campaign.fj` as one fsynced record —
+// the in-process engine's file, format and prefix-commit rule. A worker
+// that misses its heartbeat deadline (or dies) is SIGKILLed and respawned
+// with exponential backoff; a shard whose evaluation kills workers
+// `max_shard_attempts` times is quarantined — its samples are recorded (and
+// journaled) as OutcomePath::kFailed with ErrorCode::kWorkerCrashed instead
 // of being retried forever.
 //
-// The final result is assembled by merging the worker journals in
-// sample-index order and folding them through the engine's own reduction,
-// so a supervised campaign is bitwise-identical to the single-process
-// engine at every worker count — including after worker crashes, and after
-// the supervisor itself is SIGKILLed and resumed.
+// The final result folds the in-memory records through the engine's own
+// reduction, so a supervised campaign — journal bytes included — is
+// bitwise-identical to the single-process engine at every worker count,
+// after worker crashes, and after the supervisor itself is SIGKILLed and
+// resumed (in either mode).
 #pragma once
 
 #include <atomic>
@@ -36,6 +39,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mc/evaluator.h"
@@ -50,20 +54,12 @@ namespace fav::mc {
 /// starts with a WireType byte. Values are part of the protocol; append new
 /// types at the end only.
 enum class WireType : std::uint8_t {
-  kReady = 1,     // worker -> supervisor: elaborated, journal open
+  kReady = 1,     // worker -> supervisor: elaborated
   kAssign = 2,    // supervisor -> worker: evaluate samples [lo, hi)
-  kProgress = 3,  // worker -> supervisor: 1-64 samples done (heartbeat)
-  kDone = 4,      // worker -> supervisor: samples [lo, hi) journaled
+  kProgress = 3,  // worker -> supervisor: 1-64 records (heartbeat)
+  kDone = 4,      // worker -> supervisor: every record of [lo, hi) sent
   kShutdown = 5,  // supervisor -> worker: ship metrics and exit
   kMetrics = 6,   // worker -> supervisor: serialized MetricsSink
-};
-
-/// One evaluated sample as a PROGRESS frame reports it.
-struct ProgressEntry {
-  std::uint64_t index = 0;  // absolute sample index
-  double contribution = 0.0;
-  double weight = 0.0;
-  bool failed = false;
 };
 
 /// Most entries one PROGRESS frame carries.
@@ -75,36 +71,29 @@ struct WireMessage {
   WireType type = WireType::kReady;
   std::uint64_t lo = 0;  // kAssign / kDone
   std::uint64_t hi = 0;  // kAssign / kDone
-  std::vector<ProgressEntry> progress;  // kProgress: 1-64 entries
+  /// kProgress: 1-64 (absolute sample index, full record) entries.
+  std::vector<std::pair<std::uint64_t, SampleRecord>> progress;
   std::string blob;  // kMetrics: MetricsSink::serialize bytes
 };
 
 std::string encode_ready();
 std::string encode_assign(std::uint64_t lo, std::uint64_t hi);
-/// `entries` must hold 1..kMaxProgressEntries entries.
-std::string encode_progress(const std::vector<ProgressEntry>& entries);
+/// `entries` must hold 1..kMaxProgressEntries entries. Each is encoded as
+/// `u64 index` then the record's journal encoding (serialize_record).
+std::string encode_progress(
+    const std::vector<std::pair<std::uint64_t, SampleRecord>>& entries);
 std::string encode_done(std::uint64_t lo, std::uint64_t hi);
 std::string encode_shutdown();
 std::string encode_metrics(const MetricsSink& sink);
 /// False on malformed payloads (unknown type byte, truncated fields, a
-/// PROGRESS entry count outside 1..64, a `failed` byte other than 0 or 1).
+/// PROGRESS entry count outside 1..64, a record deserialize_record rejects).
 bool decode_message(std::string_view payload, WireMessage* out);
-
-/// Journal shard file owned by worker `worker_id`: "worker-<k>.fj".
-std::string worker_journal_file(std::size_t worker_id);
-/// The merge pattern covering every worker's file.
-inline const char* worker_journal_pattern() { return "worker-*.fj"; }
 
 /// --- supervisor ----------------------------------------------------------
 
 struct SupervisorConfig {
   /// Worker processes to keep alive (>= 1).
   std::size_t workers = 1;
-  /// Samples per journal shard: the commit and quarantine granularity. An
-  /// assignment is a run of up to one scheduling wave of whole shards
-  /// (SsfEvaluator::kWaveSamples), so a worker crash loses at most one wave
-  /// and a graceful stop waits for the in-flight wave.
-  std::size_t shard_size = 256;
   /// A ready worker that produces no frame (progress or control) for this
   /// long is presumed wedged, SIGKILLed and restarted. Must comfortably
   /// exceed the time of the slowest 64 samples (one PROGRESS frame).
@@ -117,9 +106,10 @@ struct SupervisorConfig {
   std::uint64_t backoff_base_ms = 250;
   std::uint64_t backoff_max_ms = 5000;
   /// A shard that was assigned when a worker died this many times is
-  /// quarantined instead of reassigned. A death charges every unfinished
-  /// shard of the worker's assignment; a charged shard is from then on only
-  /// assigned alone, so only the shard that kills again is quarantined.
+  /// quarantined instead of reassigned. A death charges every shard of the
+  /// worker's assignment whose records did not all arrive; a charged shard
+  /// is from then on only assigned alone, so only the shard that kills
+  /// again is quarantined.
   int max_shard_attempts = 2;
   /// Consecutive deaths *before reaching READY* that disable a worker slot
   /// (a worker that cannot even elaborate will never make progress).
@@ -137,16 +127,16 @@ struct SupervisorConfig {
   /// rescheduled shard twice and quarantine it.
   std::vector<std::string> first_spawn_args;
 
-  /// Journal directory (required). resume=false clears stale worker shard
-  /// files; resume=true harvests them and only assigns the missing ranges.
-  std::string dir;
-  bool resume = false;
-  std::uint64_t fingerprint = 0;
-  std::string context;
+  /// The campaign journal (dir required), opened exactly like the
+  /// in-process engine's (open_campaign_journal). `shard_size` is the
+  /// commit and quarantine granularity; an assignment is a run of up to one
+  /// scheduling wave of whole shards (SsfEvaluator::kWaveSamples).
+  JournalOptions journal;
 
   /// Aggregated observability (all optional): worker sinks are merged in
-  /// worker-index order, then supervisor.* counters (assignments, restarts,
-  /// quarantined) and the supervisor.merge_ns timer are added; progress
+  /// worker-index order, then the journal's counters, supervisor.*
+  /// counters (assignments, restarts, quarantined) and the
+  /// supervisor.merge_ns timer (the final reduction) are added; progress
   /// receives one record per evaluated sample.
   MetricsSink* metrics = nullptr;
   ProgressMeter* progress = nullptr;
@@ -172,8 +162,9 @@ struct SupervisedResult {
   /// Shards (and the samples they cover) written off as kWorkerCrashed.
   std::size_t quarantined_shards = 0;
   std::size_t quarantined_samples = 0;
-  /// Workers that exited with kExitResumableStop (storage full/failing);
-  /// > 0 implies the campaign stopped gracefully and is resumable.
+  /// 1 when the journal device filled or failed (kStorageFull): the
+  /// campaign stopped gracefully after its last committed shard, charging
+  /// no shard, and is resumable.
   std::size_t storage_full_stops = 0;
 };
 
@@ -184,7 +175,8 @@ struct SupervisedResult {
 ///
 /// run() is re-entrant across threads: the serve daemon runs one supervisor
 /// per in-flight campaign, each on its own thread. The only requirements are
-/// distinct journal directories (`config.dir`) per concurrent campaign and
+/// distinct journal directories (`config.journal.dir`) per concurrent
+/// campaign and
 /// an ignored SIGPIPE disposition (run() sets it; the setting is process-
 /// wide and idempotent). Worker pipes are O_CLOEXEC, so concurrent fleets
 /// never leak fds into each other's workers.
@@ -194,8 +186,9 @@ class CampaignSupervisor {
 
   /// Draws the n-sample batch (advancing `rng` exactly like the
   /// single-process engine), runs the supervised campaign, and reduces the
-  /// merged worker journals. Fails (non-ok Result) on configuration errors,
-  /// unrecoverable worker-fleet failure, or journal corruption.
+  /// records its workers streamed back. Fails (non-ok Result) on
+  /// configuration errors, unrecoverable worker-fleet failure, journal
+  /// corruption or a journal write error other than a full device.
   Result<SupervisedResult> run(Sampler& sampler, Rng& rng,
                                std::size_t n) const;
 
@@ -203,7 +196,7 @@ class CampaignSupervisor {
   /// This is the exhaustive-sweep seam: the CLI enumerates the technique's
   /// bound fault space into the batch, and each worker re-derives the
   /// identical enumeration from the forwarded --exhaustive flags, so shards
-  /// over enumeration-index ranges merge exactly like sampled shards.
+  /// over enumeration-index ranges journal exactly like sampled shards.
   Result<SupervisedResult> run_batch(
       std::vector<faultsim::FaultSample> samples) const;
 
@@ -214,21 +207,15 @@ class CampaignSupervisor {
 
 /// --- worker side ---------------------------------------------------------
 
-/// Process exit code of a worker (and of `fav evaluate`) that stopped
-/// gracefully because the storage device filled or failed mid-campaign
-/// (ErrorCode::kStorageFull). Every journaled shard is intact and the
-/// campaign is resumable; the supervisor treats this exit as a fleet-wide
-/// graceful stop — the assignment's unjournaled shards go back to pending
-/// with no attempts charge (no quarantine) and the slot is not respawned.
-constexpr int kExitResumableStop = 3;
-
 /// Sentinel for "no crash injection" (see WorkerHeartbeat::set_crash_on).
 constexpr std::uint64_t kNoCrashIndex = ~0ull;
 
 /// PROGRESS sender installed as EvaluatorConfig::on_sample inside a worker
 /// process. Thread-safe (the engine invokes it from worker threads): entries
 /// are buffered under a mutex and written as one frame of
-/// kMaxProgressEntries, each frame one atomic pipe write. Also hosts the
+/// kMaxProgressEntries. A frame of full records can exceed PIPE_BUF, so it
+/// may take several write(2) calls; the mutex, held across the whole
+/// write, keeps frames from interleaving. Also hosts the
 /// test-only crash injection used by the chaos tests: the process SIGKILLs
 /// *itself* mid-shard, exactly like a segfault would, at a configurable
 /// point.
@@ -248,13 +235,13 @@ class WorkerHeartbeat {
   /// the quarantine path (kNoCrashIndex disables).
   void set_crash_on(std::uint64_t index) { crash_on_ = index; }
 
-  /// EvaluatorConfig::on_sample hook: buffers the sample's entry and writes
-  /// a frame once kMaxProgressEntries are buffered. Write errors are
-  /// ignored: a vanished supervisor surfaces as EOF on the next assignment
-  /// read.
+  /// EvaluatorConfig::on_sample hook: buffers the sample's index and record
+  /// and writes a frame once kMaxProgressEntries are buffered. Write errors
+  /// are ignored: a vanished supervisor surfaces as EOF on the next
+  /// assignment read.
   void on_sample(const SampleRecord& record, std::size_t slice_index);
   /// Writes the buffered entries (if any) as one frame; the worker loop
-  /// calls it after evaluating an assignment, before journaling it.
+  /// calls it after evaluating an assignment, before DONE.
   void flush();
 
  private:
@@ -266,32 +253,23 @@ class WorkerHeartbeat {
   std::uint64_t crash_after_ = 0;
   std::uint64_t crash_on_ = kNoCrashIndex;
   std::mutex mu_;
-  std::vector<ProgressEntry> pending_;  // guarded by mu_
+  std::vector<std::pair<std::uint64_t, SampleRecord>> pending_;  // mu_
 };
 
 struct WorkerLoopOptions {
-  std::string dir;
-  std::size_t worker_id = 0;
-  /// Journal shard size: an assignment [lo, hi) is appended as shards of
-  /// this many samples from lo, each its own fsynced record. Must equal the
-  /// supervisor's SupervisorConfig::shard_size.
-  std::size_t shard_size = 256;
-  std::uint64_t fingerprint = 0;
-  std::string context;
   /// Pipe fds (stdin/stdout of the spawned process by default; tests can
   /// run the loop in-process over socketpairs).
   int in_fd = 0;
   int out_fd = 1;
 };
 
-/// The worker side of the protocol: opens (or re-opens, after a restart)
-/// this worker's journal shard file, reports READY, and serves ASSIGN
+/// The worker side of the protocol: reports READY and serves ASSIGN
 /// messages until SHUTDOWN or EOF (supervisor gone). `samples` must be the
 /// full campaign batch — the worker evaluates each assigned slice of it with
-/// one `evaluator`.run_batch, so the evaluator must keep full records
-/// (keep_records, no record_capacity) and should have reduce_metrics off and
-/// `heartbeat` installed as its on_sample hook. `metrics` (may be null) is
-/// shipped to the supervisor on SHUTDOWN.
+/// one `evaluator`.run_batch, whose on_sample hook must be `heartbeat`
+/// (every record reaches the supervisor through it; DONE follows once all
+/// of them are sent). The evaluator should have reduce_metrics off.
+/// `metrics` (may be null) is shipped to the supervisor on SHUTDOWN.
 Status run_worker_loop(const SsfEvaluator& evaluator,
                        const std::vector<faultsim::FaultSample>& samples,
                        WorkerHeartbeat& heartbeat,

@@ -37,6 +37,7 @@ enum class ErrorCode : int {
   kStorageFull = 14,       // ENOSPC/EDQUOT/EIO: stop gracefully, resumable
   kIoError = 15,           // generic non-journal file I/O failure
   kUnavailable = 16,       // server at capacity and retries exhausted
+  // Last code: journal records reject larger values (mc/journal.cpp).
 };
 
 inline const char* error_code_name(ErrorCode code) {

@@ -374,7 +374,9 @@ TEST(FrameworkTechnique, RunAdaptiveGlitchRunsOrDegradesGracefully) {
   // Glitch successes are rare on this benchmark; either the refit adapted to
   // real pilot successes or it fell back to the uniform sampler — both must
   // produce a full, well-defined refinement stage.
-  if (out.pilot.successes == 0) EXPECT_FALSE(out.adapted);
+  if (out.pilot.successes == 0) {
+    EXPECT_FALSE(out.adapted);
+  }
 }
 
 // One shared voltage-glitch framework.

@@ -27,7 +27,8 @@ struct Chain {
     in = nl.add_input("in");
     NodeId cur = in;
     for (int i = 0; i < depth; ++i) {
-      cur = nl.add_gate(CellType::kNot, {cur}, "g" + std::to_string(i));
+      cur = nl.add_gate(CellType::kNot, {cur},
+                        std::string("g").append(std::to_string(i)));
       gates.push_back(cur);
     }
     r = nl.add_dff("r");
@@ -296,7 +297,7 @@ TEST(InjectionSimulator, InjectBatchMatchesScalarLaneByLane) {
     for (int i = 0; i < 3; ++i)
       pool.push_back(nl.add_input("in" + std::to_string(i)));
     for (int i = 0; i < 3; ++i) {
-      dffs.push_back(nl.add_dff("r" + std::to_string(i)));
+      dffs.push_back(nl.add_dff(std::string("r").append(std::to_string(i))));
       pool.push_back(dffs.back());
     }
     static constexpr CellType kTypes[] = {
@@ -310,8 +311,8 @@ TEST(InjectionSimulator, InjectBatchMatchesScalarLaneByLane) {
       std::vector<NodeId> fanins;
       for (int a = 0; a < netlist::cell_arity(t); ++a)
         fanins.push_back(pool[gen() % pool.size()]);
-      gates.push_back(
-          nl.add_gate(t, std::move(fanins), "g" + std::to_string(i)));
+      gates.push_back(nl.add_gate(t, std::move(fanins),
+                                  std::string("g").append(std::to_string(i))));
       pool.push_back(gates.back());
     }
     for (NodeId r : dffs) nl.connect_dff(r, gates[gen() % gates.size()]);

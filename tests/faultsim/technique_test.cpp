@@ -34,7 +34,7 @@ struct RandomNetlist {
     }
     std::vector<NodeId> dffs;
     for (int i = 0; i < 12; ++i) {
-      dffs.push_back(nl.add_dff("r" + std::to_string(i)));
+      dffs.push_back(nl.add_dff(std::string("r").append(std::to_string(i))));
       pool.push_back(dffs.back());
     }
     static constexpr CellType kTypes[] = {
@@ -50,8 +50,8 @@ struct RandomNetlist {
         const std::size_t window = std::min<std::size_t>(pool.size(), 8);
         fanins.push_back(pool[pool.size() - 1 - gen() % window]);
       }
-      gates.push_back(
-          nl.add_gate(t, std::move(fanins), "g" + std::to_string(i)));
+      gates.push_back(nl.add_gate(t, std::move(fanins),
+                                  std::string("g").append(std::to_string(i))));
       pool.push_back(gates.back());
     }
     for (std::size_t i = 0; i < dffs.size(); ++i) {

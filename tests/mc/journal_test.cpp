@@ -302,6 +302,41 @@ TEST(JournalReader, MidFileCorruptionIsDetected) {
   EXPECT_EQ(read.status().code(), ErrorCode::kJournalCorrupt);
 }
 
+TEST(JournalReader, CrcValidFrameWithNonBooleanFlagIsCorrupt) {
+  // A frame whose checksum holds but whose record has a success byte of 2:
+  // serialize_record never writes it, so the reader must not guess.
+  const std::string dir = fresh_dir("flagbyte");
+  JournalMeta meta;
+  meta.fingerprint = 5;
+  meta.total_samples = 1;
+  {
+    JournalWriter w;
+    ASSERT_TRUE(w.open_fresh(dir, meta).is_ok());
+  }
+  SampleRecord rec = make_record(0);
+  rec.flipped_bits.clear();
+  rec.fail_reason.clear();
+  std::string record;
+  serialize_record(rec, record);
+  // success sits before retried, the u16 fail code, the contribution, the
+  // flip count and the (empty) reason's length.
+  record[record.size() - 4 - 4 - 8 - 2 - 1 - 1] = 2;
+  std::string payload;
+  io::put_le(payload, std::uint64_t{0});
+  io::put_le(payload, std::uint32_t{1});
+  payload += record;
+  {
+    io::RecordLog log;
+    ASSERT_TRUE(log.open_append(journal_file(dir),
+                                fs::file_size(journal_file(dir)))
+                    .is_ok());
+    ASSERT_TRUE(log.append(payload).is_ok());
+  }
+  const Result<JournalContents> read = read_journal(dir);
+  ASSERT_FALSE(read.is_ok());
+  EXPECT_EQ(read.status().code(), ErrorCode::kJournalCorrupt);
+}
+
 TEST(JournalReader, CorruptHeaderIsDetected) {
   const std::string dir = fresh_dir("header");
   JournalMeta meta;

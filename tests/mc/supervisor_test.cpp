@@ -1,8 +1,8 @@
 // Unit tests for the supervisor building blocks that need no worker
-// processes: the wire codec, the multi-shard journal merge (gap/overlap/
+// processes: the wire codec, the multi-file journal merge (gap/overlap/
 // fingerprint validation), and the sample cross-check predicate. The
 // end-to-end supervised campaigns (real fork/exec workers, chaos kills,
-// quarantine) live in tests/tools/supervise_cli_test.cpp.
+// quarantine, protocol violations) live in tests/tools/.
 #include "mc/supervisor.h"
 
 #include <gtest/gtest.h>
@@ -50,14 +50,19 @@ JournalMeta test_meta(std::uint64_t total) {
   return meta;
 }
 
-/// Writes one worker shard file covering [lo, hi) with make_record payloads.
-void write_shard_file(const std::string& dir, std::size_t worker_id,
+/// File name of shard file `k` in the merge tests.
+std::string part_file(std::size_t k) {
+  return "part-" + std::to_string(k) + ".fj";
+}
+constexpr const char* kPartPattern = "part-*.fj";
+
+/// Writes shard file `k` covering the given ranges with make_record payloads.
+void write_shard_file(const std::string& dir, std::size_t k,
                       const JournalMeta& meta,
                       const std::vector<std::pair<std::size_t, std::size_t>>&
                           ranges) {
   JournalWriter writer;
-  ASSERT_TRUE(
-      writer.open_fresh(dir, meta, worker_journal_file(worker_id)).is_ok());
+  ASSERT_TRUE(writer.open_fresh(dir, meta, part_file(k)).is_ok());
   for (const auto& [lo, hi] : ranges) {
     std::vector<SampleRecord> records;
     for (std::size_t i = lo; i < hi; ++i) {
@@ -88,45 +93,66 @@ TEST(SupervisorCodec, ControlMessagesRoundTrip) {
   EXPECT_EQ(msg.hi, 1280u);
 }
 
-/// `count` distinct PROGRESS entries (exact-double payloads, mixed flags).
-std::vector<ProgressEntry> progress_entries(std::size_t count) {
-  std::vector<ProgressEntry> entries;
+/// `count` distinct PROGRESS entries: exact-double payloads, mixed paths
+/// and flags, flipped bits and a failure reason on some.
+std::vector<std::pair<std::uint64_t, SampleRecord>> progress_entries(
+    std::size_t count) {
+  std::vector<std::pair<std::uint64_t, SampleRecord>> entries;
   for (std::size_t i = 0; i < count; ++i) {
-    entries.push_back({1000 + 7 * i, 0.1 * static_cast<double>(i) + 0.2,
-                       1.0 / static_cast<double>(i + 3), i % 3 == 1});
+    SampleRecord rec = make_record(static_cast<int>(i));
+    rec.contribution = 0.1 * static_cast<double>(i) + 0.2;
+    rec.retried = i % 4 == 3;
+    if (i % 3 == 1) {
+      rec.flipped_bits = {static_cast<int>(i), static_cast<int>(i) + 5};
+    }
+    if (i % 5 == 2) {
+      rec.path = OutcomePath::kFailed;
+      rec.fail_code = ErrorCode::kCycleBudgetExceeded;
+      rec.fail_reason = "budget " + std::to_string(i);
+    }
+    entries.emplace_back(1000 + 7 * i, std::move(rec));
   }
   return entries;
 }
 
+std::string image(const SampleRecord& record) {
+  std::string out;
+  serialize_record(record, out);
+  return out;
+}
+
 TEST(SupervisorCodec, ProgressRoundTripsExactDoubles) {
+  SampleRecord rec = make_record(1);
+  rec.contribution = 0.1 + 0.2;
+  rec.sample.weight = 1.75;
+  rec.path = OutcomePath::kFailed;
   WireMessage msg;
-  ASSERT_TRUE(decode_message(
-      encode_progress({{987654321, 0.1 + 0.2, 1.75, true}}), &msg));
+  ASSERT_TRUE(decode_message(encode_progress({{987654321, rec}}), &msg));
   EXPECT_EQ(msg.type, WireType::kProgress);
   ASSERT_EQ(msg.progress.size(), 1u);
-  EXPECT_EQ(msg.progress[0].index, 987654321u);
-  EXPECT_EQ(msg.progress[0].contribution, 0.1 + 0.2);  // bitwise
-  EXPECT_EQ(msg.progress[0].weight, 1.75);
-  EXPECT_TRUE(msg.progress[0].failed);
+  EXPECT_EQ(msg.progress[0].first, 987654321u);
+  EXPECT_EQ(msg.progress[0].second.contribution, 0.1 + 0.2);  // bitwise
+  EXPECT_EQ(msg.progress[0].second.sample.weight, 1.75);
+  EXPECT_EQ(msg.progress[0].second.path, OutcomePath::kFailed);
 }
 
 TEST(SupervisorCodec, BatchedProgressRoundTripsEveryEntry) {
   for (const std::size_t count : {std::size_t{1}, std::size_t{2},
                                   kMaxProgressEntries}) {
     SCOPED_TRACE(count);
-    const std::vector<ProgressEntry> sent = progress_entries(count);
+    const auto sent = progress_entries(count);
     const std::string bytes = encode_progress(sent);
-    // Type byte, entry count, then 25 bytes per entry.
-    EXPECT_EQ(bytes.size(), 2 + 25 * count);
+    // Type byte, entry count, then per entry its index and journal record.
+    std::size_t expected = 2;
+    for (const auto& entry : sent) expected += 8 + image(entry.second).size();
+    EXPECT_EQ(bytes.size(), expected);
     WireMessage msg;
     ASSERT_TRUE(decode_message(bytes, &msg));
     EXPECT_EQ(msg.type, WireType::kProgress);
     ASSERT_EQ(msg.progress.size(), count);
     for (std::size_t i = 0; i < count; ++i) {
-      EXPECT_EQ(msg.progress[i].index, sent[i].index);
-      EXPECT_EQ(msg.progress[i].contribution, sent[i].contribution);
-      EXPECT_EQ(msg.progress[i].weight, sent[i].weight);
-      EXPECT_EQ(msg.progress[i].failed, sent[i].failed);
+      EXPECT_EQ(msg.progress[i].first, sent[i].first);
+      EXPECT_EQ(image(msg.progress[i].second), image(sent[i].second));
     }
   }
 }
@@ -177,11 +203,6 @@ TEST(SupervisorCodec, RejectsMalformedPayloads) {
   EXPECT_FALSE(decode_message(encode_ready() + "x", &msg));
 }
 
-TEST(SupervisorCodec, WorkerJournalFileNames) {
-  EXPECT_EQ(worker_journal_file(0), "worker-0.fj");
-  EXPECT_EQ(worker_journal_file(12), "worker-12.fj");
-}
-
 // --- sample cross-check ---------------------------------------------------
 
 TEST(SampleMatches, DetectsEveryFieldDivergence) {
@@ -201,7 +222,7 @@ TEST(SampleMatches, DetectsEveryFieldDivergence) {
   EXPECT_FALSE(sample_matches(base, other));
 }
 
-// --- multi-shard merge ----------------------------------------------------
+// --- multi-file merge -----------------------------------------------------
 
 TEST(JournalMerge, MergesInterleavedWorkerShards) {
   const std::string dir = fresh_dir("interleaved");
@@ -211,7 +232,7 @@ TEST(JournalMerge, MergesInterleavedWorkerShards) {
   write_shard_file(dir, 0, meta, {{0, 4}, {8, 12}});
   write_shard_file(dir, 1, meta, {{4, 8}});
   Result<JournalContents> merged =
-      JournalReader::merge(dir, worker_journal_pattern());
+      JournalReader::merge(dir, kPartPattern);
   ASSERT_TRUE(merged.is_ok()) << merged.status().to_string();
   EXPECT_EQ(merged.value().meta.fingerprint, meta.fingerprint);
   ASSERT_EQ(merged.value().records.size(), 12u);
@@ -228,7 +249,7 @@ TEST(JournalMerge, ReportsExactMissingRange) {
   write_shard_file(dir, 0, meta, {{0, 4}});
   write_shard_file(dir, 1, meta, {{9, 16}});
   Result<JournalContents> merged =
-      JournalReader::merge(dir, worker_journal_pattern());
+      JournalReader::merge(dir, kPartPattern);
   ASSERT_FALSE(merged.is_ok());
   EXPECT_EQ(merged.status().code(), ErrorCode::kFailedPrecondition);
   // The error names the exact missing index range.
@@ -241,7 +262,7 @@ TEST(JournalMerge, MergePartialExposesPresenceAndGaps) {
   const JournalMeta meta = test_meta(10);
   write_shard_file(dir, 0, meta, {{0, 2}, {6, 8}});
   Result<MergedJournal> merged =
-      JournalReader::merge_partial(dir, worker_journal_pattern());
+      JournalReader::merge_partial(dir, kPartPattern);
   ASSERT_TRUE(merged.is_ok()) << merged.status().to_string();
   EXPECT_FALSE(merged.value().complete());
   EXPECT_EQ(merged.value().present_count, 4u);
@@ -259,7 +280,7 @@ TEST(JournalMerge, AcceptsOutOfOrderFramesWithinOneFile) {
   // reader must sort and coalesce instead of rejecting the file.
   write_shard_file(dir, 0, meta, {{4, 8}, {8, 12}, {0, 4}});
   Result<JournalShards> shards =
-      JournalReader::read_shards(dir, worker_journal_file(0));
+      JournalReader::read_shards(dir, part_file(0));
   ASSERT_TRUE(shards.is_ok()) << shards.status().to_string();
   ASSERT_EQ(shards.value().spans.size(), 1u);
   EXPECT_EQ(shards.value().spans[0].first_index, 0u);
@@ -278,7 +299,7 @@ TEST(JournalMerge, RejectsOverlappingFramesWithinOneFile) {
   // covering the same sample can never happen in a correct run.
   write_shard_file(dir, 0, meta, {{4, 8}, {2, 6}});
   Result<JournalShards> shards =
-      JournalReader::read_shards(dir, worker_journal_file(0));
+      JournalReader::read_shards(dir, part_file(0));
   ASSERT_FALSE(shards.is_ok());
   EXPECT_EQ(shards.status().code(), ErrorCode::kJournalCorrupt);
   EXPECT_NE(shards.status().to_string().find("both cover sample"),
@@ -292,7 +313,7 @@ TEST(JournalMerge, RejectsOverlappingShards) {
   write_shard_file(dir, 0, meta, {{0, 5}});
   write_shard_file(dir, 1, meta, {{4, 8}});
   Result<MergedJournal> merged =
-      JournalReader::merge_partial(dir, worker_journal_pattern());
+      JournalReader::merge_partial(dir, kPartPattern);
   ASSERT_FALSE(merged.is_ok());
   EXPECT_EQ(merged.status().code(), ErrorCode::kJournalCorrupt);
   EXPECT_NE(merged.status().to_string().find("both cover sample"),
@@ -307,7 +328,7 @@ TEST(JournalMerge, RejectsForeignCampaignShard) {
   other.fingerprint ^= 1;
   write_shard_file(dir, 1, other, {{4, 8}});
   Result<MergedJournal> merged =
-      JournalReader::merge_partial(dir, worker_journal_pattern());
+      JournalReader::merge_partial(dir, kPartPattern);
   ASSERT_FALSE(merged.is_ok());
   EXPECT_EQ(merged.status().code(), ErrorCode::kJournalCorrupt);
 }
@@ -315,7 +336,7 @@ TEST(JournalMerge, RejectsForeignCampaignShard) {
 TEST(JournalMerge, NoMatchingShardsIsIoError) {
   const std::string dir = fresh_dir("empty");
   Result<MergedJournal> merged =
-      JournalReader::merge_partial(dir, worker_journal_pattern());
+      JournalReader::merge_partial(dir, kPartPattern);
   ASSERT_FALSE(merged.is_ok());
   EXPECT_EQ(merged.status().code(), ErrorCode::kJournalIoError);
 }
@@ -326,7 +347,7 @@ TEST(JournalMerge, SpanPastTotalSamplesIsCorrupt) {
   // Rewrite with a span that runs past total_samples.
   write_shard_file(dir, 1, test_meta(4), {{2, 6}});
   Result<MergedJournal> merged =
-      JournalReader::merge_partial(dir, worker_journal_pattern());
+      JournalReader::merge_partial(dir, kPartPattern);
   ASSERT_FALSE(merged.is_ok());
   EXPECT_EQ(merged.status().code(), ErrorCode::kJournalCorrupt);
 }

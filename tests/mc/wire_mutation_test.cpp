@@ -1,17 +1,19 @@
 // Byte-level mutation test of the two wire decoders: the serve protocol
 // (decode_serve_message, mc/serve.h) and the supervisor protocol
-// (decode_message, mc/supervisor.h), including the METRICS payload a worker
-// ships (MetricsSink::deserialize). Starting from a valid encoding of every
-// message type, every truncation point, every single-byte XOR and appended
-// garbage must either be rejected or decode *exactly*: re-encoding the
-// decoded message reproduces the mutated bytes, so a decoder never accepts
-// a frame it would not itself have written.
+// (decode_message, mc/supervisor.h), including the journal records a
+// PROGRESS frame carries (deserialize_record) and the METRICS payload a
+// worker ships (MetricsSink::deserialize). Starting from a valid encoding of
+// every message type, every truncation point, every single-byte XOR and
+// appended garbage must either be rejected or decode *exactly*: re-encoding
+// the decoded message reproduces the mutated bytes, so a decoder never
+// accepts a frame it would not itself have written.
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "mc/journal.h"
 #include "mc/serve.h"
 #include "mc/supervisor.h"
 #include "util/metrics.h"
@@ -88,12 +90,35 @@ std::vector<std::string> serve_messages() {
           encode_serve_cancel()};
 }
 
+/// A record as a worker streams it: `flips` flipped bits and an optional
+/// failure reason exercise every variable-length field.
+SampleRecord progress_record(std::uint64_t i, int flips, bool failed) {
+  SampleRecord rec;
+  rec.sample.technique = faultsim::TechniqueKind::kRadiation;
+  rec.sample.t = static_cast<int>(i % 40);
+  rec.sample.center = static_cast<netlist::NodeId>(3 * i + 1);
+  rec.sample.radius = 1.5;
+  rec.sample.strike_frac = 0.25;
+  rec.sample.weight = 1.0 + static_cast<double>(i);
+  rec.te = 100 + i;
+  rec.path = failed ? OutcomePath::kFailed : OutcomePath::kRtl;
+  rec.success = !failed && i % 2 == 0;
+  rec.contribution = rec.success ? 0.25 * static_cast<double>(i) : 0.0;
+  for (int b = 0; b < flips; ++b) rec.flipped_bits.push_back(7 * b + 1);
+  if (failed) {
+    rec.fail_code = ErrorCode::kSampleEvalFailed;
+    rec.fail_reason = "boom";
+    rec.retried = true;
+  }
+  return rec;
+}
+
 /// A PROGRESS frame at its 64-entry capacity.
-std::vector<ProgressEntry> full_progress_frame() {
-  std::vector<ProgressEntry> entries;
+std::vector<std::pair<std::uint64_t, SampleRecord>> full_progress_frame() {
+  std::vector<std::pair<std::uint64_t, SampleRecord>> entries;
   for (std::uint64_t i = 0; i < kMaxProgressEntries; ++i) {
-    entries.push_back({500 + i, 0.25 * static_cast<double>(i),
-                       1.0 + static_cast<double>(i), i % 5 == 0});
+    entries.emplace_back(
+        500 + i, progress_record(i, static_cast<int>(i % 3), i % 5 == 0));
   }
   return entries;
 }
@@ -101,9 +126,10 @@ std::vector<ProgressEntry> full_progress_frame() {
 std::vector<std::string> supervisor_messages() {
   return {encode_ready(),
           encode_assign(17, 42),
-          encode_progress({{987654321, 0.1 + 0.2, 1.75, true}}),
-          encode_progress({{3, 0.0, 1.0, false}}),
-          encode_progress({{3, 0.0, 1.0, false}, {4, 0.5, 2.0, true}}),
+          encode_progress({{987654321, progress_record(1, 2, false)}}),
+          encode_progress({{3, progress_record(3, 0, true)}}),
+          encode_progress({{3, progress_record(3, 1, false)},
+                           {4, progress_record(4, 0, true)}}),
           encode_progress(full_progress_frame()),
           encode_done(1024, 1280),
           encode_shutdown(),
@@ -164,17 +190,32 @@ TEST(WireMutation, SupervisorDecoderIsExactOrRejects) {
   expect_exact_or_rejected(supervisor_messages(), supervisor_roundtrip);
 }
 
-TEST(WireMutation, ProgressFailedFlagMustBeZeroOrOne) {
-  // Regression: any nonzero failed byte used to decode as "failed", so a
-  // corrupted PROGRESS frame was accepted and re-encoded differently.
-  std::string bytes = encode_progress({{5, 0.25, 2.0, true}});
+TEST(WireMutation, ProgressRecordFlagsMustBeZeroOrOne) {
+  // Regression: any nonzero success or retried byte used to decode as true,
+  // so a corrupted record was accepted and re-encoded differently. The
+  // record's layout puts path, success, retried and the u16 fail code right
+  // before the contribution, flip count and reason.
+  const SampleRecord rec = progress_record(2, 0, false);
+  std::string record;
+  serialize_record(rec, record);
+  const std::size_t success_at = record.size() - 8 - 4 - 4 - 2 - 1 - 1;
+  std::string bytes = encode_progress({{5, rec}});
+  const std::size_t at = bytes.size() - record.size() + success_at;
   WireMessage m;
-  bytes.back() = 2;
-  EXPECT_FALSE(decode_message(bytes, &m));
-  bytes.back() = 1;
+  ASSERT_TRUE(decode_message(bytes, &m));
+  for (const std::size_t flag : {at, at + 1}) {
+    std::string bad = bytes;
+    bad[flag] = 2;
+    EXPECT_FALSE(decode_message(bad, &m));
+  }
+  // An unknown error code is rejected too.
+  std::string bad = bytes;
+  bad[at + 2] = static_cast<char>(0xFF);
+  EXPECT_FALSE(decode_message(bad, &m));
+  bytes[at + 1] = 1;  // retried = true is a valid record
   ASSERT_TRUE(decode_message(bytes, &m));
   ASSERT_EQ(m.progress.size(), 1u);
-  EXPECT_TRUE(m.progress[0].failed);
+  EXPECT_TRUE(m.progress[0].second.retried);
 }
 
 TEST(WireMutation, MetricsPayloadNamesMustBeAscendingAndUnique) {

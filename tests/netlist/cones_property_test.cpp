@@ -25,7 +25,7 @@ struct RandomCircuit {
       pool.push_back(nl.add_input("in" + std::to_string(i)));
     }
     for (int i = 0; i < n_dffs; ++i) {
-      const NodeId d = nl.add_dff("r" + std::to_string(i));
+      const NodeId d = nl.add_dff(std::string("r").append(std::to_string(i)));
       dffs.push_back(d);
       pool.push_back(d);
     }

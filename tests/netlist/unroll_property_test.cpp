@@ -23,7 +23,7 @@ struct RandomCircuit {
       pool.push_back(inputs.back());
     }
     for (int i = 0; i < n_dffs; ++i) {
-      dffs.push_back(nl.add_dff("r" + std::to_string(i)));
+      dffs.push_back(nl.add_dff(std::string("r").append(std::to_string(i))));
       pool.push_back(dffs.back());
     }
     const CellType kinds[] = {CellType::kAnd,  CellType::kOr,

@@ -1,13 +1,15 @@
 // End-to-end tests for `fav evaluate --supervise`: real fork/exec worker
 // fleets driven through the installed CLI binary (FAV_CLI_PATH, injected by
-// CMake). Covers the ISSUE acceptance criteria:
-//   * bitwise-identical SSF + journal records vs the single-process engine
-//     at worker counts {1, 4},
+// CMake):
+//   * bitwise-identical SSF + journal bytes vs the single-process engine at
+//     worker counts {1, 4} — the supervisor writes the same campaign.fj,
+//     and no worker writes a file,
 //   * chaos: a worker SIGKILLed mid-campaign changes nothing in the result,
 //   * a deterministically-crashing sample is quarantined as WORKER_CRASHED
 //     instead of wedging the campaign, also past the first wave,
 //   * wave-sized assignments fill the lanes like the in-process engine,
 //   * the supervisor itself SIGKILLed mid-run is resumable with --resume,
+//     and a campaign resumes across modes (in-process <-> supervised),
 //   * SIGINT flushes a partial interrupted run report (exit code 3) that
 //     --resume completes to the undisturbed result.
 //
@@ -87,23 +89,28 @@ double metric_value(const std::string& file, const std::string& name) {
   return std::strtod(text.c_str() + at + needle.size(), nullptr);
 }
 
-/// Bitwise comparison of two merged journals through the serialized record
-/// image — any drift in any field of any record fails.
-void expect_bitwise_equal_journals(const std::string& dir_a,
-                                   const std::string& pattern_a,
-                                   const std::string& dir_b,
-                                   const std::string& pattern_b) {
-  Result<JournalContents> a = JournalReader::merge(dir_a, pattern_a);
-  Result<JournalContents> b = JournalReader::merge(dir_b, pattern_b);
-  ASSERT_TRUE(a.is_ok()) << a.status().to_string();
-  ASSERT_TRUE(b.is_ok()) << b.status().to_string();
-  ASSERT_EQ(a.value().records.size(), b.value().records.size());
-  for (std::size_t i = 0; i < a.value().records.size(); ++i) {
-    std::string image_a, image_b;
-    serialize_record(a.value().records[i], image_a);
-    serialize_record(b.value().records[i], image_b);
-    ASSERT_EQ(image_a, image_b) << "record " << i << " diverges";
+/// Byte-for-byte comparison of two campaigns' journals. Every campaign, in
+/// any mode, keeps exactly one journal file, `campaign.fj`.
+void expect_identical_journals(const std::string& dir_a,
+                               const std::string& dir_b) {
+  for (const std::string& dir : {dir_a, dir_b}) {
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      if (entry.path().extension() == ".fj") {
+        EXPECT_EQ(entry.path().filename(), "campaign.fj") << dir;
+      }
+    }
   }
+  const auto bytes = [](const std::string& dir) {
+    std::ifstream in(dir + "/campaign.fj", std::ios::binary);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+  };
+  const std::string a = bytes(dir_a);
+  const std::string b = bytes(dir_b);
+  ASSERT_FALSE(a.empty()) << dir_a;
+  EXPECT_TRUE(a == b) << dir_a << " and " << dir_b << " journals differ ("
+                      << a.size() << " vs " << b.size() << " bytes)";
 }
 
 /// Spawns the CLI detached, waits until the named journal file exceeds
@@ -150,10 +157,8 @@ TEST(SuperviseCli, BitwiseIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(json_field(sup4 + "/report.json", "ssf"), ssf);
   EXPECT_EQ(json_field(sup4 + "/report.json", "std_error"),
             json_field(base + "/report.json", "std_error"));
-  expect_bitwise_equal_journals(base, "campaign.fj", sup1,
-                                worker_journal_pattern());
-  expect_bitwise_equal_journals(base, "campaign.fj", sup4,
-                                worker_journal_pattern());
+  expect_identical_journals(base, sup1);
+  expect_identical_journals(base, sup4);
 }
 
 TEST(SuperviseCli, WorkerCrashMidCampaignChangesNothing) {
@@ -177,8 +182,7 @@ TEST(SuperviseCli, WorkerCrashMidCampaignChangesNothing) {
   EXPECT_EQ(json_field(chaos + "/report.json", "interrupted"), "false");
   const std::string restarts = json_field(chaos + "/report.json", "restarts");
   EXPECT_NE(restarts, "0") << "expected at least one watchdog restart";
-  expect_bitwise_equal_journals(base, "campaign.fj", chaos,
-                                worker_journal_pattern());
+  expect_identical_journals(base, chaos);
 }
 
 TEST(SuperviseCli, DeterministicCrashIsQuarantined) {
@@ -215,21 +219,23 @@ TEST(SuperviseCli, QuarantineBeyondTheFirstWaveIsExact) {
   EXPECT_EQ(json_field(dir + "/report.json", "quarantined_samples"), "16");
   EXPECT_EQ(json_field(dir + "/report.json", "WORKER_CRASHED"), "16");
   EXPECT_EQ(json_field(dir + "/report.json", "interrupted"), "false");
-  Result<JournalContents> want = JournalReader::merge(base, "campaign.fj");
-  Result<MergedJournal> got =
-      JournalReader::merge_partial(dir, worker_journal_pattern());
+  // The quarantined shard's WORKER_CRASHED records are journaled, so the
+  // journal is complete and a resume would not retry them; every other
+  // record is the in-process engine's.
+  Result<JournalContents> want = read_journal(base);
+  Result<JournalContents> got = read_journal(dir);
   ASSERT_TRUE(want.is_ok()) << want.status().to_string();
   ASSERT_TRUE(got.is_ok()) << got.status().to_string();
   ASSERT_EQ(got.value().records.size(), want.value().records.size());
-  const auto missing = got.value().missing_ranges();
-  ASSERT_EQ(missing.size(), 1u);
-  EXPECT_EQ(missing[0].first, 16992u);
-  EXPECT_EQ(missing[0].second, 17008u);
   for (std::size_t i = 0; i < want.value().records.size(); ++i) {
-    if (got.value().present[i] == 0) continue;
+    const SampleRecord& rec = got.value().records[i];
+    if (i >= 16992 && i < 17008) {
+      EXPECT_EQ(rec.fail_code, ErrorCode::kWorkerCrashed) << "record " << i;
+      continue;
+    }
     std::string image_want, image_got;
     serialize_record(want.value().records[i], image_want);
-    serialize_record(got.value().records[i], image_got);
+    serialize_record(rec, image_got);
     ASSERT_EQ(image_got, image_want) << "record " << i << " diverges";
   }
 }
@@ -274,8 +280,7 @@ TEST(SuperviseCli, DeadWorkerIsDetectedByEofNotHeartbeat) {
             json_field(base + "/report.json", "ssf"));
   EXPECT_NE(json_field(dir + "/report.json", "restarts"), "0")
       << "the dead worker must have been detected and respawned";
-  expect_bitwise_equal_journals(base, "campaign.fj", dir,
-                                worker_journal_pattern());
+  expect_identical_journals(base, dir);
 }
 
 TEST(SuperviseCli, SupervisorSigkillIsResumable) {
@@ -288,7 +293,7 @@ TEST(SuperviseCli, SupervisorSigkillIsResumable) {
             0);
   const Subprocess::ExitStatus st = kill_mid_campaign(
       flags + " --journal " + dir + " --supervise 2",
-      fs::path(dir) / worker_journal_file(0), 4096, SIGKILL);
+      fs::path(dir) / "campaign.fj", 4096, SIGKILL);
   // Either we killed it mid-run (the interesting case) or the machine was so
   // fast the campaign finished — both must leave a resumable journal.
   if (st.signaled) {
@@ -300,8 +305,40 @@ TEST(SuperviseCli, SupervisorSigkillIsResumable) {
             0);
   EXPECT_EQ(json_field(dir + "/report.json", "ssf"),
             json_field(base + "/report.json", "ssf"));
-  expect_bitwise_equal_journals(base, "campaign.fj", dir,
-                                worker_journal_pattern());
+  expect_identical_journals(base, dir);
+}
+
+TEST(SuperviseCli, CrossModeResume) {
+  const std::string base = fresh_dir("cross_base");
+  const std::string in_then_sup = fresh_dir("cross_in_then_sup");
+  const std::string sup_then_in = fresh_dir("cross_sup_then_in");
+  // Three in-process waves (16,384 samples each), so an in-process run
+  // interrupted after its first commit still has work left.
+  const std::string flags = campaign_flags(40000) + " --threads 2";
+  ASSERT_EQ(run_cli(flags + " --journal " + base + " --metrics-out " + base +
+                    "/report.json"),
+            0);
+  // An in-process campaign interrupted mid-run, resumed supervised.
+  kill_mid_campaign(flags + " --journal " + in_then_sup,
+                    fs::path(in_then_sup) / "campaign.fj", 4096, SIGINT);
+  ASSERT_EQ(run_cli(flags + " --journal " + in_then_sup +
+                    " --supervise 2 --resume --metrics-out " + in_then_sup +
+                    "/report.json"),
+            0);
+  // A supervised campaign SIGKILLed mid-run, resumed in-process.
+  kill_mid_campaign(flags + " --journal " + sup_then_in + " --supervise 2",
+                    fs::path(sup_then_in) / "campaign.fj", 4096, SIGKILL);
+  ASSERT_EQ(run_cli(flags + " --journal " + sup_then_in +
+                    " --resume --metrics-out " + sup_then_in + "/report.json"),
+            0);
+  for (const std::string& dir : {in_then_sup, sup_then_in}) {
+    SCOPED_TRACE(dir);
+    for (const char* key : {"ssf", "std_error", "ess", "paths"}) {
+      EXPECT_EQ(json_field(dir + "/report.json", key),
+                json_field(base + "/report.json", key));
+    }
+    expect_identical_journals(base, dir);
+  }
 }
 
 TEST(SuperviseCli, SigintFlushesInterruptedReportAndResumes) {

@@ -73,11 +73,14 @@
 //   --no-precharac-cache          clear an earlier --precharac-cache
 //   --supervise N                 evaluate only: run the campaign across N
 //                                  worker *processes* (requires --journal).
+//                                  Workers stream every record back and the
+//                                  supervisor writes the one campaign.fj.
 //                                  Workers that crash or wedge are SIGKILLed
 //                                  and restarted; samples that keep killing
 //                                  workers are quarantined as failed records.
-//                                  Estimates are bitwise-identical to the
-//                                  single-process engine at every N.
+//                                  Estimates and journal bytes are
+//                                  bitwise-identical to the single-process
+//                                  engine at every N.
 //   --heartbeat-ms N              supervise only: liveness deadline before
 //                                  a worker is presumed wedged (default
 //                                  30000); workers report progress every
@@ -85,7 +88,8 @@
 //   --shard-size N                samples per journal shard: the
 //                                  durability (commit) granularity, and
 //                                  under --supervise the quarantine
-//                                  granularity (default 256). It is not
+//                                  granularity (default 256, the same in
+//                                  both modes, so journals match). It is not
 //                                  the assignment size and does not cap
 //                                  te-groups: workers are assigned, and
 //                                  te-groups form across, whole scheduling
@@ -108,8 +112,9 @@
 //
 // `--chaos-write-nth N` / `--chaos-fsync-nth N` are hidden test-only flags:
 // they make the Nth low-level campaign file write (or fsync) in this process
-// — and, when supervising, in every worker — fail with ENOSPC, driving the
-// degraded-I/O paths deterministically (see util/io.h ChaosFile).
+// fail with ENOSPC, driving the degraded-I/O paths deterministically (see
+// util/io.h ChaosFile). Under --supervise this process is the one journal
+// writer.
 //
 // `fav worker` is a hidden command spawned by `--supervise`; it speaks the
 // supervisor pipe protocol on stdin/stdout (see mc/supervisor.h) and is not
@@ -200,7 +205,7 @@ struct Options {
   // Multi-process supervisor (0 = in-process engine).
   std::size_t supervise = 0;
   std::uint64_t heartbeat_ms = 30000;
-  std::size_t shard_size = 256;
+  std::size_t shard_size = mc::kDefaultShardSize;
   // Serving tier (`fav serve` / `fav submit`).
   std::string socket;
   std::size_t max_campaigns = 2;
@@ -211,7 +216,7 @@ struct Options {
   std::string stats_out;   // serve: JSON stats snapshot path
   // Hidden `fav worker` mode (spawned by the supervisor).
   std::size_t worker_id = 0;
-  // Test-only chaos injection, forwarded to workers (see WorkerHeartbeat).
+  // Test-only crash injection, forwarded to workers (see WorkerHeartbeat).
   std::uint64_t crash_after = 0;
   std::uint64_t crash_on = mc::kNoCrashIndex;
   // Test-only degraded-I/O injection: make the Nth physical file write /
@@ -269,9 +274,13 @@ void print_usage(const std::string& message) {
                "                               reuse the pre-characterization\n"
                "                               bundle; integrity-checked)\n"
                "         --supervise N  --heartbeat-ms N\n"
+               "                              (evaluate only, with --journal:\n"
+               "                              N worker processes stream their\n"
+               "                              records to this one, which\n"
+               "                              writes the same campaign.fj)\n"
                "         --shard-size N (evaluate only, needs --journal;\n"
-               "                              journal durability and\n"
-               "                              --supervise quarantine\n"
+               "                              default %zu; journal durability\n"
+               "                              and --supervise quarantine\n"
                "                              granularity; not the assignment\n"
                "                              size, does not cap te-groups)\n"
                "         --metrics-out FILE  --trace-out FILE  --progress\n"
@@ -301,7 +310,8 @@ void print_usage(const std::string& message) {
                "         --busy-retries N     (submit: reconnect attempts\n"
                "                              after a busy refusal, default 4)\n"
                "         --retry-backoff-ms N (submit: backoff base, default\n"
-               "                              0 = use the server's hint)\n");
+               "                              0 = use the server's hint)\n",
+               mc::kDefaultShardSize);
 }
 
 // Strict numeric parsing: the whole token must parse and land in range,
@@ -446,8 +456,7 @@ Options parse(const std::vector<std::string>& args) {
     usage("--space-limit requires --exhaustive");
   }
   if (o.resume && o.journal.empty()) usage("--resume requires --journal DIR");
-  if (!o.journal.empty() && o.command != "evaluate" &&
-      o.command != "worker") {
+  if (!o.journal.empty() && o.command != "evaluate") {
     usage("--journal only applies to the evaluate command");
   }
   if ((!o.metrics_out.empty() || !o.trace_out.empty() || o.progress) &&
@@ -465,9 +474,6 @@ Options parse(const std::vector<std::string>& args) {
             "do not ship trace events)");
     }
   }
-  if (o.command == "worker" && o.journal.empty()) {
-    usage("worker requires --journal DIR");
-  }
   if ((o.crash_after != 0 || o.crash_on != mc::kNoCrashIndex) &&
       o.command != "worker" && o.supervise == 0) {
     usage("--crash-after-samples/--crash-on-sample-index only apply to "
@@ -479,9 +485,9 @@ Options parse(const std::vector<std::string>& args) {
           "commands");
   }
   if ((o.chaos_write_nth != 0 || o.chaos_fsync_nth != 0) &&
-      o.command != "evaluate" && o.command != "worker") {
+      o.command != "evaluate") {
     usage("--chaos-write-nth/--chaos-fsync-nth only apply to the evaluate "
-          "command and worker mode");
+          "command");
   }
   // `submit` never reaches parse() with --socket (cmd_submit strips it and
   // validates the remainder as an evaluate command), so here the flag is
@@ -592,9 +598,8 @@ std::string self_exe_path() {
 }
 
 /// argv of a `fav worker` process: everything that identifies the campaign,
-/// so the worker re-derives the bitwise-identical sample batch. Workers
-/// always keep full records (--record-capacity 0) — the journal needs every
-/// record of an assigned shard.
+/// so the worker re-derives the bitwise-identical sample batch. Workers keep
+/// no journal: the supervisor writes it from the records they stream.
 std::vector<std::string> worker_command(const Options& o) {
   std::vector<std::string> argv = {
       self_exe_path(), "worker",
@@ -607,10 +612,7 @@ std::vector<std::string> worker_command(const Options& o) {
       "--radius", format_double(o.radius),
       "--cycle-budget", std::to_string(o.cycle_budget),
       "--deadline-ms", std::to_string(o.deadline_ms),
-      "--threads", std::to_string(o.threads),
-      "--record-capacity", "0",
-      "--shard-size", std::to_string(o.shard_size),
-      "--journal", o.journal};
+      "--threads", std::to_string(o.threads)};
   if (o.exhaustive) {
     // Workers re-derive the identical enumeration from the bound space, so
     // the batch never crosses the pipe.
@@ -625,14 +627,6 @@ std::vector<std::string> worker_command(const Options& o) {
     // writes it under PATH.lock, the rest load (core/framework.h).
     argv.push_back("--precharac-cache");
     argv.push_back(o.precharac_cache);
-  }
-  if (o.chaos_write_nth != 0) {
-    argv.push_back("--chaos-write-nth");
-    argv.push_back(std::to_string(o.chaos_write_nth));
-  }
-  if (o.chaos_fsync_nth != 0) {
-    argv.push_back("--chaos-fsync-nth");
-    argv.push_back(std::to_string(o.chaos_fsync_nth));
   }
   if (o.crash_on != mc::kNoCrashIndex) {
     // Deterministic chaos: rides every incarnation so the shard containing
@@ -656,11 +650,24 @@ struct EvalOutcome {
   std::size_t storage_full_stops = 0;
 };
 
-/// Runs the campaign (in-process, journaled, or supervised per `o`).
-/// `on_sample`, when set, ticks once per evaluated sample on the supervised
-/// path — the serving tier's progress stream (the in-process engine routes
-/// progress through EvaluatorConfig::on_sample instead).
+/// The campaign journal of `o` (fingerprint and context from the strategy
+/// actually run), shared by the in-process and supervised paths.
+mc::JournalOptions journal_options(const Options& o,
+                                   const std::string& strategy,
+                                   std::size_t samples) {
+  mc::JournalOptions jopt;
+  jopt.dir = o.journal;
+  jopt.resume = o.resume;
+  jopt.shard_size = o.shard_size;
+  jopt.fingerprint = campaign_fingerprint(o, strategy, samples);
+  jopt.context = o.benchmark + "/" + o.technique + "/" + strategy;
+  return jopt;
+}
+
 /// Builds the supervisor config shared by the sampled and exhaustive paths.
+/// `on_sample`, when set, ticks once per evaluated sample — the serving
+/// tier's progress stream (the in-process engine routes progress through
+/// EvaluatorConfig::on_sample instead).
 mc::SupervisorConfig make_supervisor_config(
     core::FaultAttackEvaluator& fw, const Options& o,
     const std::string& strategy, std::size_t samples,
@@ -668,7 +675,6 @@ mc::SupervisorConfig make_supervisor_config(
     const std::atomic<bool>* stop) {
   mc::SupervisorConfig sc;
   sc.workers = o.supervise;
-  sc.shard_size = o.shard_size;
   sc.heartbeat_ms = o.heartbeat_ms;
   sc.worker_command = worker_command(o);
   if (o.crash_after != 0) {
@@ -677,10 +683,7 @@ mc::SupervisorConfig make_supervisor_config(
     sc.first_spawn_args = {"--crash-after-samples",
                            std::to_string(o.crash_after)};
   }
-  sc.dir = o.journal;
-  sc.resume = o.resume;
-  sc.fingerprint = campaign_fingerprint(o, strategy, samples);
-  sc.context = o.benchmark + "/" + o.technique + "/" + strategy;
+  sc.journal = journal_options(o, strategy, samples);
   sc.metrics = fw.evaluator().config().metrics;
   sc.progress = fw.evaluator().config().progress;
   sc.on_sample = on_sample;
@@ -737,15 +740,9 @@ EvalOutcome run_eval_exhaustive(core::FaultAttackEvaluator& fw,
     out.res = fw.evaluator().run_exhaustive(o.space_limit);
     return out;
   }
-  mc::JournalOptions jopt;
-  jopt.dir = o.journal;
-  jopt.resume = o.resume;
-  jopt.shard_size = o.shard_size;
-  jopt.fingerprint =
-      campaign_fingerprint(o, "exhaustive", static_cast<std::size_t>(n));
-  jopt.context = o.benchmark + "/" + o.technique + "/exhaustive";
-  Result<mc::SsfResult> result =
-      fw.evaluator().run_exhaustive_journaled(jopt, o.space_limit);
+  Result<mc::SsfResult> result = fw.evaluator().run_exhaustive_journaled(
+      journal_options(o, "exhaustive", static_cast<std::size_t>(n)),
+      o.space_limit);
   if (!result.is_ok()) {
     out.status = Status(result.status().code(),
                         "journaled run failed: " +
@@ -797,14 +794,8 @@ EvalOutcome run_eval(core::FaultAttackEvaluator& fw, const Options& o,
     out.res = fw.evaluator().run(*sel.sampler, rng, o.samples);
     return out;
   }
-  mc::JournalOptions jopt;
-  jopt.dir = o.journal;
-  jopt.resume = o.resume;
-  jopt.shard_size = o.shard_size;
-  jopt.fingerprint = campaign_fingerprint(o, sel.actual, o.samples);
-  jopt.context = o.benchmark + "/" + o.technique + "/" + sel.actual;
-  Result<mc::SsfResult> result =
-      fw.evaluator().run_journaled(*sel.sampler, rng, o.samples, jopt);
+  Result<mc::SsfResult> result = fw.evaluator().run_journaled(
+      *sel.sampler, rng, o.samples, journal_options(o, sel.actual, o.samples));
   if (!result.is_ok()) {
     out.status = Status(result.status().code(),
                         "journaled run failed: " +
@@ -951,9 +942,7 @@ CampaignOutput run_evaluate_campaign(const Options& o, bool local_files,
              eval.quarantined_samples);
     if (eval.storage_full_stops > 0) {
       append_f(out.stdout_block,
-               "storage    : %zu worker(s) stopped on a full/failing "
-               "journal device\n",
-               eval.storage_full_stops);
+               "storage    : stopped on a full/failing journal device\n");
     }
   }
   const core::PrecharacCacheReport& cache = fw.precharac_cache();
@@ -1044,9 +1033,9 @@ int cmd_evaluate(const Options& o) {
 }
 
 /// Journal directories in use by in-flight served campaigns. Two concurrent
-/// campaigns sharing a journal would interleave shard files and corrupt both
-/// results, so the daemon reserves the (canonicalized) directory for the
-/// campaign's lifetime and refuses the second request.
+/// campaigns sharing a journal would interleave their appends and corrupt
+/// both results, so the daemon reserves the (canonicalized) directory for
+/// the campaign's lifetime and refuses the second request.
 std::mutex g_journal_registry_mu;
 std::set<std::string> g_journal_registry;
 
@@ -1266,7 +1255,8 @@ int cmd_submit(const std::vector<std::string>& raw) {
 /// Hidden worker mode (spawned by --supervise): stdin/stdout are the
 /// supervisor's protocol pipes, so nothing in this path may print to stdout.
 /// Elaborates the identical framework from the forwarded campaign flags,
-/// re-draws the full batch, and serves shard assignments until SHUTDOWN/EOF.
+/// re-draws the full batch, and serves shard assignments until SHUTDOWN/EOF,
+/// streaming every record back; it writes no file.
 int cmd_worker(const Options& o) {
   // The supervisor coordinates shutdown over the pipe; a terminal SIGINT
   // (Ctrl-C hits the whole foreground process group) must not kill workers
@@ -1274,20 +1264,15 @@ int cmd_worker(const Options& o) {
   // supervisor dies, and workers must not outlive it.
   ::signal(SIGPIPE, SIG_IGN);
   ::signal(SIGINT, SIG_IGN);
-  if (o.chaos_write_nth != 0 || o.chaos_fsync_nth != 0) {
-    io::ChaosFile chaos;
-    chaos.fail_write_at = o.chaos_write_nth;
-    chaos.fail_fsync_at = o.chaos_fsync_nth;
-    io::chaos_install(chaos);
-  }
   static mc::WorkerHeartbeat heartbeat(STDOUT_FILENO);
   heartbeat.set_crash_after(o.crash_after);
   heartbeat.set_crash_on(o.crash_on);
   MetricsSink metrics;
   core::FrameworkConfig cfg = o.framework_config();
-  cfg.evaluator.record_capacity = 0;  // the journal needs every record
+  // Records reach the supervisor through on_sample, not the result.
+  cfg.evaluator.keep_records = false;
   cfg.evaluator.metrics = &metrics;
-  // The supervisor runs the one global reduction over the merged journals;
+  // The supervisor runs the one global reduction over the streamed records;
   // workers shipping reduce-derived counters would double-count them.
   cfg.evaluator.reduce_metrics = false;
   cfg.evaluator.on_sample = [](const mc::SampleRecord& record,
@@ -1295,8 +1280,6 @@ int cmd_worker(const Options& o) {
     heartbeat.on_sample(record, slice_index);
   };
   core::FaultAttackEvaluator fw(pick_benchmark(o.benchmark), cfg);
-  std::string actual = o.strategy;
-  std::size_t total = o.samples;
   std::vector<faultsim::FaultSample> samples;
   if (o.exhaustive) {
     // Re-derive the identical enumeration the supervisor (and every sibling
@@ -1305,21 +1288,13 @@ int cmd_worker(const Options& o) {
     const std::uint64_t space = fw.bind_exhaustive_space(o.t_range, o.radius);
     const std::uint64_t n =
         (o.space_limit != 0 && o.space_limit < space) ? o.space_limit : space;
-    total = static_cast<std::size_t>(n);
-    actual = "exhaustive";
     fw.technique().enumerate(0, n, samples);
   } else {
     const core::SamplerSelection sel = select_sampler(fw, o);
-    actual = sel.actual;
     Rng rng(o.seed);
     samples = fw.evaluator().draw_batch(*sel.sampler, rng, o.samples);
   }
   mc::WorkerLoopOptions wopt;
-  wopt.dir = o.journal;
-  wopt.worker_id = o.worker_id;
-  wopt.shard_size = o.shard_size;
-  wopt.fingerprint = campaign_fingerprint(o, actual, total);
-  wopt.context = o.benchmark + "/" + o.technique + "/" + actual;
   wopt.in_fd = STDIN_FILENO;
   wopt.out_fd = STDOUT_FILENO;
   const Status status =
@@ -1327,12 +1302,6 @@ int cmd_worker(const Options& o) {
   if (!status.is_ok()) {
     std::fprintf(stderr, "fav worker %zu: %s\n", o.worker_id,
                  status.to_string().c_str());
-    // Storage full/failing: every journaled shard is intact, so signal the
-    // supervisor to stop the fleet gracefully instead of treating this
-    // worker as crashed (no attempts charge, no quarantine, no respawn).
-    if (status.code() == ErrorCode::kStorageFull) {
-      return mc::kExitResumableStop;
-    }
     return 1;
   }
   return 0;
