@@ -1,6 +1,7 @@
 #include "faultsim/injection.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace fav::faultsim {
 
@@ -8,10 +9,12 @@ using netlist::CellType;
 using netlist::Netlist;
 using netlist::NodeId;
 
-void BatchInjectionScratch::prepare(std::size_t node_count) {
+void BatchInjectionScratch::prepare(std::size_t node_count,
+                                    std::size_t gate_count) {
   for (NodeId id : touched_) pulses_[id].clear();
   touched_.clear();
   pulses_.resize(node_count);
+  frontier_.assign((gate_count + 63) / 64, 0);
 }
 
 InjectionSimulator::InjectionSimulator(const Netlist& nl,
@@ -20,6 +23,28 @@ InjectionSimulator::InjectionSimulator(const Netlist& nl,
     : nl_(&nl), timing_(nl, timing_model), params_(params) {
   FAV_ENSURE(params.initial_width > 0);
   FAV_ENSURE(params.max_pulses_per_node >= 1);
+  const std::vector<NodeId>& topo = nl.topo_order();
+  std::vector<std::uint32_t> pos(nl.node_count(), 0);
+  for (std::size_t i = 0; i < topo.size(); ++i) {
+    pos[topo[i]] = static_cast<std::uint32_t>(i);
+  }
+  // Every consumer is either a DFF or a combinational gate of topo_order().
+  const auto& fanouts = nl.fanouts();
+  for (NodeId id = 0; id < nl.node_count(); ++id) {
+    gate_fanout_begin_.push_back(
+        static_cast<std::uint32_t>(gate_fanout_pos_.size()));
+    dff_fanout_begin_.push_back(static_cast<std::uint32_t>(dff_fanout_.size()));
+    for (const Netlist::FanoutEdge& e : fanouts[id]) {
+      if (nl.is_dff(e.consumer)) {
+        dff_fanout_.push_back(e.consumer);
+      } else {
+        gate_fanout_pos_.push_back(pos[e.consumer]);
+      }
+    }
+  }
+  gate_fanout_begin_.push_back(
+      static_cast<std::uint32_t>(gate_fanout_pos_.size()));
+  dff_fanout_begin_.push_back(static_cast<std::uint32_t>(dff_fanout_.size()));
 }
 
 bool InjectionSimulator::sensitized(const netlist::LogicSimulator& sim,
@@ -211,10 +236,21 @@ void InjectionSimulator::inject_batch(
   FAV_ENSURE_MSG(strike_times.size() == struck.size(),
                  "one strike time per lane required");
 
-  scratch.prepare(nl_->node_count());
+  const std::vector<NodeId>& topo = nl_->topo_order();
+  scratch.prepare(nl_->node_count(), topo.size());
   auto& pulses = scratch.pulses_;
+  auto& frontier = scratch.frontier_;
   const auto add = [&](NodeId id, Pulse p, int lane) {
-    if (pulses[id].empty()) scratch.touched_.push_back(id);
+    if (pulses[id].empty()) {
+      // A net's first pulse puts its consumers on the frontier; a list never
+      // empties again within the call.
+      scratch.touched_.push_back(id);
+      for (std::uint32_t k = gate_fanout_begin_[id];
+           k < gate_fanout_begin_[id + 1]; ++k) {
+        const std::uint32_t pos = gate_fanout_pos_[k];
+        frontier[pos / 64] |= std::uint64_t{1} << (pos % 64);
+      }
+    }
     add_pulse_lane(pulses[id], p, lane);
   };
 
@@ -238,30 +274,41 @@ void InjectionSimulator::inject_batch(
 
   // One topological sweep serves every lane: sensitization becomes a word
   // mask, and each lane-tagged pulse propagates only where its lane's side
-  // inputs let it through.
+  // inputs let it through. The sweep visits only frontier gates, in
+  // increasing topological position: a visit marks only later positions
+  // (consumers follow their producers), so re-reading the current word
+  // picks them up, and the bitmap ends the call all zero.
   const TimingModel& tm = timing_.model();
-  for (NodeId id : nl_->topo_order()) {
-    const auto& n = nl_->node(id);
-    for (int pin = 0; pin < static_cast<int>(n.fanins.size()); ++pin) {
-      const auto& in_pulses = pulses[n.fanins[pin]];
-      if (in_pulses.empty()) continue;
-      const std::uint64_t sens = sensitized_mask(sim, id, pin);
-      if (sens == 0) continue;
-      for (const auto& e : in_pulses) {
-        if (((sens >> e.lane) & 1u) == 0) continue;  // logically masked
-        const double width = e.pulse.width - tm.attenuation;
-        if (width < tm.min_pulse_width) continue;  // electrically masked
-        add(id, {e.pulse.start + tm.delay(n.type), width}, e.lane);
+  for (std::size_t w = 0; w < frontier.size(); ++w) {
+    while (frontier[w] != 0) {
+      const int bit = std::countr_zero(frontier[w]);
+      frontier[w] &= frontier[w] - 1;
+      const NodeId id = topo[w * 64 + static_cast<std::size_t>(bit)];
+      const auto& n = nl_->node(id);
+      for (int pin = 0; pin < static_cast<int>(n.fanins.size()); ++pin) {
+        const auto& in_pulses = pulses[n.fanins[pin]];
+        if (in_pulses.empty()) continue;
+        const std::uint64_t sens = sensitized_mask(sim, id, pin);
+        if (sens == 0) continue;
+        for (const auto& e : in_pulses) {
+          if (((sens >> e.lane) & 1u) == 0) continue;  // logically masked
+          const double width = e.pulse.width - tm.attenuation;
+          if (width < tm.min_pulse_width) continue;  // electrically masked
+          add(id, {e.pulse.start + tm.delay(n.type), width}, e.lane);
+        }
       }
     }
   }
 
-  // Latching-window check at every DFF D input; the per-DFF mask mirrors the
-  // reference's "first latching pulse wins, insert once" set semantics.
+  // Latching-window check at every DFF whose D net carries a pulse; the
+  // per-DFF mask mirrors the reference's "first latching pulse wins, insert
+  // once" set semantics.
   const double window_lo = timing_.clock_period() - tm.setup_time;
   const double window_hi = timing_.clock_period() + tm.hold_time;
-  for (NodeId dff : nl_->dffs()) {
-    const NodeId d = nl_->node(dff).fanins[0];
+  for (const NodeId d : scratch.touched_) {
+    const std::uint32_t first = dff_fanout_begin_[d];
+    const std::uint32_t last = dff_fanout_begin_[d + 1];
+    if (first == last) continue;  // drives no register
     std::uint64_t latched = 0;
     for (const auto& e : pulses[d]) {
       if (e.pulse.start <= window_hi &&
@@ -269,9 +316,11 @@ void InjectionSimulator::inject_batch(
         latched |= std::uint64_t{1} << e.lane;
       }
     }
-    if (latched == 0) continue;
-    for (int lane = 0; lane < lanes; ++lane) {
-      if ((latched >> lane) & 1u) flipped[lane].push_back(dff);
+    for (; latched != 0; latched &= latched - 1) {
+      auto& lane_flips = flipped[std::countr_zero(latched)];
+      for (std::uint32_t k = first; k < last; ++k) {
+        lane_flips.push_back(dff_fanout_[k]);
+      }
     }
   }
 

@@ -46,7 +46,9 @@ struct Pulse {
 /// state. Pulse lists are shared across lanes: each entry is tagged with its
 /// lane, and same-lane entries keep the relative order a dedicated per-lane
 /// list would have, which is what makes the batch merge/cap policy
-/// bit-identical to the single-sample reference inject().
+/// bit-identical to the single-sample reference inject(). The frontier is a
+/// bitmap over topological positions: the gates still to visit because a
+/// fanin carries a pulse.
 class BatchInjectionScratch {
  public:
   BatchInjectionScratch() = default;
@@ -57,10 +59,11 @@ class BatchInjectionScratch {
     Pulse pulse;
     int lane = 0;
   };
-  void prepare(std::size_t node_count);
+  void prepare(std::size_t node_count, std::size_t gate_count);
 
   std::vector<std::vector<LanePulse>> pulses_;
   std::vector<netlist::NodeId> touched_;  // nodes with non-empty pulse lists
+  std::vector<std::uint64_t> frontier_;
 };
 
 struct InjectionResult {
@@ -102,6 +105,12 @@ class InjectionSimulator {
   /// `flipped[l]` holds lane l's flipped DFFs (sorted, unique) — bitwise
   /// identical to what the reference inject() produces for that lane's
   /// inputs. This is the radiation technique's flip-set kernel.
+  ///
+  /// The sweep is event-driven: it visits, in topological order, only the
+  /// gates with a fanin that carries a pulse, and latch-checks only the DFFs
+  /// whose D net carries one. Every other gate would add nothing, so every
+  /// add_pulse_lane call — and with it every pulse list — is the one a walk
+  /// over the whole order makes.
   void inject_batch(const netlist::WordSimulator& sim,
                     std::span<const std::vector<netlist::NodeId>> struck,
                     std::span<const double> strike_times,
@@ -138,6 +147,13 @@ class InjectionSimulator {
   const netlist::Netlist* nl_;
   TimingAnalysis timing_;
   TransientParams params_;
+  // Each net's consumers, split for the event-driven sweep (CSR, indexed by
+  // node id): the topological positions of its combinational consumers, and
+  // the DFFs it drives.
+  std::vector<std::uint32_t> gate_fanout_begin_;
+  std::vector<std::uint32_t> gate_fanout_pos_;
+  std::vector<std::uint32_t> dff_fanout_begin_;
+  std::vector<netlist::NodeId> dff_fanout_;
 };
 
 }  // namespace fav::faultsim

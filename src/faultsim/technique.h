@@ -56,9 +56,9 @@ class AttackTechnique {
 
   /// DFFs whose latched value flips during the injection cycle, for 1..64
   /// samples at once: lane l evaluates `samples[l]` against lane l of
-  /// `sim`, which holds the cycle's settled values (the evaluator settles
-  /// one state and broadcasts it to every lane, see
-  /// soc::GateLevelMachine::broadcast_settled). `flipped` is resized to the
+  /// `sim`, which holds the cycle's settled values (the evaluator
+  /// broadcasts one settled state to every lane, see
+  /// netlist::WordSimulator::broadcast_packed). `flipped` is resized to the
   /// lane count and flipped[l] overwritten (sorted, unique node ids). A
   /// lane's flip set depends only on its sample and its lane's values —
   /// never on the other lanes or the lane count — so a batch of one is the

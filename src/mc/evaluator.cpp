@@ -93,6 +93,7 @@ SsfEvaluator::SsfEvaluator(
       config_(config),
       analytical_(bench, golden) {
   target_cycle_ = analytical_.target_cycle();
+  golden_settles_ = std::make_unique<SettledCycle[]>(target_cycle_ + 1);
   FAV_ENSURE(config.trace_stride > 0);
 }
 
@@ -112,6 +113,7 @@ SsfEvaluator::SsfEvaluator(
       config_(config),
       analytical_(bench, golden) {
   target_cycle_ = analytical_.target_cycle();
+  golden_settles_ = std::make_unique<SettledCycle[]>(target_cycle_ + 1);
   FAV_ENSURE(config.trace_stride > 0);
 }
 
@@ -207,11 +209,10 @@ SsfEvaluator::GroupInjection SsfEvaluator::inject_group(
   group.te = target_cycle_ - static_cast<std::uint64_t>(first.t);
 
   // The scratch machines are fully re-loaded here: restore_into rewrites the
-  // RTL state/RAM/cycle, and load_state + settle_inputs rewrite every
-  // register, input, and combinational value of the gate-level simulator —
-  // no state survives from the previous group. No budget is charged here:
-  // finish_lane replays the charges per lane, so an overrun fails only its
-  // own lane.
+  // RTL state/RAM/cycle, and each injection cycle's broadcast rewrites every
+  // node of the word simulator — no state survives from the previous group.
+  // No budget is charged here: finish_lane replays the charges per lane, so
+  // an overrun fails only its own lane.
   Machine& machine = sc.machine_;
   {
     ScopeTimer timer(sink, "eval.restore_ns");
@@ -226,7 +227,8 @@ SsfEvaluator::GroupInjection SsfEvaluator::inject_group(
   // already-corrupted state, its latched errors overlaid, and the machine
   // advanced — the paper's "multi-cycle impact" extension. With one cycle
   // the lanes share the machine, and each lane's errors are overlaid on its
-  // own copy when it is finished.
+  // own copy when it is finished. The first cycle is the golden cycle te,
+  // seeded from the settle table; only later cycles settle here.
   group.overlaid = first.impact_cycles > 1;
   const RegisterMap& map = Machine::reg_map();
   soc::GateLevelMachine& gate = sc.gate_;
@@ -235,11 +237,19 @@ SsfEvaluator::GroupInjection SsfEvaluator::inject_group(
     const std::uint64_t settles_before = gate.total_settles();
     for (int j = 0; j < first.impact_cycles && !machine.halted(); ++j) {
       ++group.cycles;
-      gate.load_state(machine.state());
-      gate.mutable_ram() = machine.ram();
-      gate.settle_inputs();
-      gate.broadcast_settled(sc.words_);
-      technique_->flip_set(sc.words_, sc.technique_, lanes, sc.lane_flips_);
+      if (j == 0) {
+        sc.words_.broadcast_packed(golden_settle(sc, group.te, sink));
+      } else {
+        ScopeTimer settle_timer(sink, "eval.gate_settle_ns");
+        gate.load_state(machine.state());
+        gate.mutable_ram() = machine.ram();
+        gate.settle_inputs();
+        gate.broadcast_settled(sc.words_);
+      }
+      {
+        ScopeTimer flip_timer(sink, "eval.gate_flip_set_ns");
+        technique_->flip_set(sc.words_, sc.technique_, lanes, sc.lane_flips_);
+      }
       machine.step();
       for (std::size_t l = 0; l < lanes.size(); ++l) {
         for (const netlist::NodeId dff : sc.lane_flips_[l]) {
@@ -266,6 +276,22 @@ SsfEvaluator::GroupInjection SsfEvaluator::inject_group(
     sink->add_counter("eval.batch_restore_saved", lanes.size() - 1);
   }
   return group;
+}
+
+const std::vector<std::uint64_t>& SsfEvaluator::golden_settle(
+    EvalScratch& sc, std::uint64_t te, MetricsSink* sink) const {
+  FAV_CHECK(te <= target_cycle_);
+  SettledCycle& entry = golden_settles_[te];
+  // A fill that throws leaves the flag unset, so the next call retries it.
+  std::call_once(entry.filled, [&] {
+    ScopeTimer timer(sink, "eval.gate_settle_ns");
+    soc::GateLevelMachine& gate = sc.gate_;
+    gate.load_state(sc.machine_.state());
+    gate.mutable_ram() = sc.machine_.ram();
+    gate.settle_inputs();
+    gate.sim().pack_values(entry.bits);
+  });
+  return entry.bits;
 }
 
 SampleRecord SsfEvaluator::finish_lane(EvalScratch& sc,

@@ -15,10 +15,11 @@
 //   4. accumulate e * (f/g) into the importance-weighted SSF estimate.
 //
 // Steps 1 and 2 run once per te-group: up to 64 samples that share Te are
-// restored and settled together, and the technique's lane kernel computes
-// every lane's latched errors in one bit-parallel sweep; each lane then
-// finishes step 3 on its own, and only diverging lanes resume at RTL
-// level. A sample that cannot share a group (a unique Te, multi-cycle
+// restored together, seeded with the injection cycle's settled values (a
+// golden settle, computed once per Te per evaluator), and the technique's
+// lane kernel computes every lane's latched errors in one bit-parallel
+// sweep; each lane then finishes step 3 on its own, and only diverging
+// lanes resume at RTL level. A sample that cannot share a group (a unique Te, multi-cycle
 // impact, a direct evaluate_sample call) is a group of one — there is no
 // separate scalar flow.
 //
@@ -41,6 +42,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "faultsim/injection.h"
@@ -352,9 +354,11 @@ class SsfEvaluator {
   /// use the isolated variant below instead.
   SampleRecord evaluate_sample(const faultsim::FaultSample& sample) const;
   /// Same, reusing `scratch`'s machines and buffers. Thread-safe as long as
-  /// each thread uses its own scratch: the evaluator itself is only read.
-  /// A non-null `sink` receives the per-phase time split of this sample
-  /// (eval.restore_ns / eval.gate_inject_ns / eval.rtl_resume_ns /
+  /// each thread uses its own scratch: the evaluator's only mutable state is
+  /// its golden settle table, whose entries are filled once each under
+  /// std::call_once. A non-null `sink` receives the per-phase time split of
+  /// this sample (eval.restore_ns / eval.gate_inject_ns, with its
+  /// eval.gate_settle_ns / eval.gate_flip_set_ns parts / eval.rtl_resume_ns /
   /// eval.analytical_ns) and simulation-cost counters (rtl.warmup_cycles,
   /// rtl.restore_bytes, rtl.resume_cycles, gate.injection_cycles,
   /// gate.settle_passes, and the eval.batch_* counters of its group of
@@ -481,12 +485,20 @@ class SsfEvaluator {
   };
   /// Shared phase of the te-group in sc.lane_samples_ (1..64 samples with
   /// the same te, or one sample with impact_cycles > 1): validates every
-  /// lane, restores the checkpoint, settles each injection cycle at gate
-  /// level, computes every lane's flip set in one bit-parallel sweep, and
-  /// leaves each lane's flipped flat bits in sc.lane_bits_ (sorted, unique)
-  /// with sc.machine_ just past the injection cycle(s). Throws on an
-  /// invalid sample.
+  /// lane, restores the checkpoint, seeds each injection cycle's settled
+  /// gate-level values (the first from the golden settle table, later ones
+  /// by a settle of the corrupted state), computes every lane's flip set in
+  /// one bit-parallel sweep, and leaves each lane's flipped flat bits in
+  /// sc.lane_bits_ (sorted, unique) with sc.machine_ just past the
+  /// injection cycle(s). Throws on an invalid sample.
   GroupInjection inject_group(EvalScratch& sc, MetricsSink* sink) const;
+  /// Golden cycle te's settled node values, packed 1 bit per node. The
+  /// first call for a te fills its entry from sc.machine_, which must hold
+  /// the golden state of cycle te, settled on sc.gate_; later calls (from
+  /// any thread) read it.
+  const std::vector<std::uint64_t>& golden_settle(EvalScratch& sc,
+                                                  std::uint64_t te,
+                                                  MetricsSink* sink) const;
   /// Finalizes lane `lane` of the group: replays the budget charges a
   /// sample evaluated alone would see, and decides the outcome (RTL resume
   /// on a copy of the shared machine for diverging lanes). Throws on budget
@@ -574,6 +586,14 @@ class SsfEvaluator {
   EvaluatorConfig config_;
   AnalyticalEvaluator analytical_;
   std::uint64_t target_cycle_ = 0;
+  /// Golden settle table, one entry per injection cycle te in [0, Tt]: the
+  /// settled values depend only on the golden run, so each te is settled
+  /// once per evaluator instead of once per te-group.
+  struct SettledCycle {
+    std::once_flag filled;
+    std::vector<std::uint64_t> bits;
+  };
+  std::unique_ptr<SettledCycle[]> golden_settles_;
 };
 
 }  // namespace fav::mc

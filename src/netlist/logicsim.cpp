@@ -1,5 +1,7 @@
 #include "netlist/logicsim.h"
 
+#include <algorithm>
+
 namespace fav::netlist {
 
 LogicSimulator::LogicSimulator(const Netlist& nl)
@@ -43,15 +45,14 @@ void LogicSimulator::evaluate_comb() {
 
 void LogicSimulator::clock_edge() {
   // Two passes so that DFF-to-DFF chains latch the pre-edge values.
-  std::vector<char> next(nl_->dffs().size());
-  std::size_t k = 0;
+  latch_scratch_.clear();
   for (NodeId dff : nl_->dffs()) {
     const Node& n = nl_->node(dff);
     FAV_ENSURE_MSG(!n.fanins.empty(), "DFF '" << n.name << "' has no D input");
-    next[k++] = values_[n.fanins[0]];
+    latch_scratch_.push_back(values_[n.fanins[0]]);
   }
-  k = 0;
-  for (NodeId dff : nl_->dffs()) values_[dff] = next[k++];
+  std::size_t k = 0;
+  for (NodeId dff : nl_->dffs()) values_[dff] = latch_scratch_[k++];
 }
 
 void LogicSimulator::step() {
@@ -75,6 +76,19 @@ void LogicSimulator::load_register_state(const std::vector<bool>& state) {
                 "register state size mismatch");
   std::size_t k = 0;
   for (NodeId dff : nl_->dffs()) values_[dff] = state[k++] ? 1 : 0;
+}
+
+void LogicSimulator::pack_values(std::vector<std::uint64_t>& bits) const {
+  bits.assign((values_.size() + 63) / 64, 0);
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    const std::size_t base = w * 64;
+    const std::size_t n = std::min<std::size_t>(64, values_.size() - base);
+    std::uint64_t word = 0;
+    for (std::size_t b = 0; b < n; ++b) {
+      word |= static_cast<std::uint64_t>(values_[base + b] & 1) << b;
+    }
+    bits[w] = word;
+  }
 }
 
 WordSimulator::WordSimulator(const Netlist& nl)
@@ -134,6 +148,18 @@ void WordSimulator::broadcast_from(const LogicSimulator& scalar) {
   FAV_ENSURE_MSG(nl_ == &scalar.netlist(), "netlist mismatch in broadcast");
   for (NodeId id = 0; id < nl_->node_count(); ++id) {
     values_[id] = scalar.value(id) ? ~std::uint64_t{0} : 0;
+  }
+}
+
+void WordSimulator::broadcast_packed(std::span<const std::uint64_t> bits) {
+  FAV_ENSURE_MSG(bits.size() == (values_.size() + 63) / 64,
+                 "packed snapshot size mismatch in broadcast");
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    const std::size_t base = w * 64;
+    const std::size_t n = std::min<std::size_t>(64, values_.size() - base);
+    for (std::size_t b = 0; b < n; ++b) {
+      values_[base + b] = std::uint64_t{0} - ((bits[w] >> b) & 1u);
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -46,9 +47,14 @@ class LogicSimulator {
   std::vector<bool> register_state() const;
   void load_register_state(const std::vector<bool>& state);
 
+  /// Packs every node's value at 1 bit per node: bit (id % 64) of
+  /// bits[id / 64] is node id's value. `bits` is overwritten.
+  void pack_values(std::vector<std::uint64_t>& bits) const;
+
  private:
   const Netlist* nl_;
   std::vector<char> values_;  // char (not vector<bool>) for fast access
+  std::vector<char> latch_scratch_;  // reused by clock_edge()
 };
 
 /// 64-lane bit-parallel logic simulator (the PPSFP word trick): every node
@@ -75,6 +81,8 @@ class WordSimulator {
   /// Copies a settled scalar simulator's state into every lane: each node's
   /// word becomes all-ones or all-zeros according to the scalar value.
   void broadcast_from(const LogicSimulator& scalar);
+  /// Same, from a snapshot packed by LogicSimulator::pack_values.
+  void broadcast_packed(std::span<const std::uint64_t> bits);
 
   /// Recomputes all combinational nodes from current inputs + registers,
   /// word-wise (all 64 lanes per gate evaluation).

@@ -18,8 +18,8 @@ SignatureTrace::SignatureTrace(const soc::SocNetlist& soc,
 
   std::uint64_t c = 0;
   for (; c < max_cycles && !gate.halted(); ++c) {
-    // Settle the cycle's combinational values, sample every node, then let
-    // step() finish the cycle (its own settle_inputs() is idempotent).
+    // Settle the cycle's combinational values, sample every node, then
+    // finish the cycle on those same settled values.
     gate.settle_inputs();
     for (NodeId id = 0; id < nl.node_count(); ++id) {
       const char v = gate.sim().value(id) ? 1 : 0;
@@ -27,7 +27,7 @@ SignatureTrace::SignatureTrace(const soc::SocNetlist& soc,
       sigs[id].push_back(c > 0 && v != prev[id]);
       prev[id] = v;
     }
-    gate.step();
+    gate.clock_edge();
   }
   cycles_ = c;
   signatures_ = std::move(sigs);

@@ -47,8 +47,12 @@ void GateLevelMachine::broadcast_settled(netlist::WordSimulator& words) const {
 }
 
 rtl::StepInfo GateLevelMachine::step() {
-  ++total_steps_;
   settle_inputs();
+  return clock_edge();
+}
+
+rtl::StepInfo GateLevelMachine::clock_edge() {
+  ++total_steps_;
   const SocPorts& p = soc_->ports();
 
   rtl::StepInfo info;

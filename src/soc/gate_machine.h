@@ -20,8 +20,8 @@ class GateLevelMachine {
 
   void reset();
 
-  /// Executes one clock cycle; returns the same observability structure as
-  /// the behavioural model.
+  /// Executes one clock cycle (settle_inputs() then clock_edge()); returns
+  /// the same observability structure as the behavioural model.
   rtl::StepInfo step();
   std::uint64_t run(std::uint64_t cycles);
 
@@ -30,8 +30,8 @@ class GateLevelMachine {
 
   /// Lifetime totals, never reset — observability counters for the Monte
   /// Carlo engine's gate-sim cost metrics. A settle is two combinational
-  /// evaluation passes over the whole netlist; step() performs one settle
-  /// plus the clock edge.
+  /// evaluation passes over the whole netlist; a step is one clock_edge()
+  /// (step() performs one settle plus the clock edge).
   std::uint64_t total_settles() const { return total_settles_; }
   std::uint64_t total_steps() const { return total_steps_; }
 
@@ -51,6 +51,13 @@ class GateLevelMachine {
   /// data). Does not advance the clock. Exposed so the fault-injection
   /// simulator can prepare the injection cycle's side-input values.
   void settle_inputs();
+
+  /// Finishes the cycle settle_inputs() prepared, without settling again:
+  /// performs the RAM/DMA side effects of the settled values, latches every
+  /// DFF and advances the cycle. A caller that samples the settled nets
+  /// (pre-characterization signatures) calls settle_inputs(), reads, then
+  /// this — one settle per cycle instead of two.
+  rtl::StepInfo clock_edge();
 
   /// Copies the settled scalar state into every lane of `words` (all-ones /
   /// all-zeros words). Callers must have run settle_inputs() first; this is

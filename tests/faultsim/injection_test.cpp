@@ -359,6 +359,160 @@ TEST(InjectionSimulator, InjectBatchMatchesScalarLaneByLane) {
   }
 }
 
+// Disjoint random sub-circuits for the frontier-sweep property: each block
+// has its own inputs, registers and random gates over its own net pool, and
+// every register's D input is a dedicated gate that nothing else reads (a
+// gate whose only fanout is a DFF).
+struct BlockCircuit {
+  Netlist nl;
+  std::vector<std::vector<NodeId>> gates;   // per block, D gates included
+  std::vector<std::vector<NodeId>> dffs;    // per block
+  std::vector<std::vector<NodeId>> d_gates;  // per block
+
+  BlockCircuit(std::mt19937& gen, int blocks, int gates_per_block) {
+    static constexpr CellType kTypes[] = {
+        CellType::kBuf, CellType::kNot,  CellType::kAnd,
+        CellType::kOr,  CellType::kNand, CellType::kNor,
+        CellType::kXor, CellType::kXnor, CellType::kMux};
+    const auto name = [](const char* prefix, int b, int i) {
+      return std::string(prefix) + std::to_string(b) + "_" +
+             std::to_string(i);
+    };
+    gates.resize(blocks);
+    dffs.resize(blocks);
+    d_gates.resize(blocks);
+    for (int b = 0; b < blocks; ++b) {
+      std::vector<NodeId> pool;
+      for (int i = 0; i < 2; ++i) pool.push_back(nl.add_input(name("in", b, i)));
+      for (int i = 0; i < 3; ++i) {
+        dffs[b].push_back(nl.add_dff(name("r", b, i)));
+        pool.push_back(dffs[b].back());
+      }
+      // Uneven block sizes keep the gate count off a multiple of 64, so the
+      // last topological position sits inside a partial frontier word.
+      for (int i = 0; i < gates_per_block + b % 3; ++i) {
+        const CellType t = kTypes[gen() % std::size(kTypes)];
+        std::vector<NodeId> fanins;
+        for (int a = 0; a < netlist::cell_arity(t); ++a)
+          fanins.push_back(pool[gen() % pool.size()]);
+        gates[b].push_back(nl.add_gate(t, std::move(fanins), name("g", b, i)));
+        pool.push_back(gates[b].back());
+      }
+      for (std::size_t i = 0; i < dffs[b].size(); ++i) {
+        const NodeId d = nl.add_gate(
+            CellType::kXor,
+            {pool[gen() % pool.size()], pool[gen() % pool.size()]},
+            name("d", b, static_cast<int>(i)));
+        d_gates[b].push_back(d);
+        gates[b].push_back(d);
+        nl.connect_dff(dffs[b][i], d);
+      }
+    }
+  }
+};
+
+// inject_batch against the reference inject(), lane by lane, with per-lane
+// random inputs and registers.
+void expect_batch_matches_reference(const Netlist& nl,
+                                    const std::vector<std::vector<NodeId>>& struck,
+                                    const std::vector<double>& strike,
+                                    std::mt19937& gen,
+                                    BatchInjectionScratch& scratch,
+                                    const std::string& what) {
+  InjectionSimulator inj(nl);
+  const int lanes = static_cast<int>(struck.size());
+  netlist::WordSimulator words(nl);
+  std::vector<LogicSimulator> scalar;
+  scalar.reserve(lanes);
+  for (int l = 0; l < lanes; ++l) {
+    scalar.emplace_back(nl);
+    for (NodeId in : nl.inputs()) {
+      const bool v = gen() & 1;
+      scalar[l].set_input(in, v);
+      words.set_input_lane(in, l, v);
+    }
+    for (NodeId r : nl.dffs()) {
+      const bool v = gen() & 1;
+      scalar[l].set_register(r, v);
+      words.set_register_lane(r, l, v);
+    }
+    scalar[l].evaluate_comb();
+  }
+  words.evaluate_comb();
+  std::vector<std::vector<NodeId>> flipped;
+  inj.inject_batch(words, struck, strike, scratch, flipped);
+  ASSERT_EQ(flipped.size(), struck.size()) << what;
+  for (int l = 0; l < lanes; ++l) {
+    EXPECT_EQ(flipped[l], inj.inject(scalar[l], struck[l], strike[l]).flipped_dffs)
+        << what << " lane " << l;
+  }
+}
+
+// The event-driven sweep visits only gates with a pulsing fanin and
+// latch-checks only DFFs whose D net pulses; its flip sets must equal the
+// reference's full topological walk in every lane, on the cases where a
+// frontier is empty, never grows, or ends at the edge of the order.
+TEST(InjectionSimulator, FrontierSweepMatchesReferenceLaneByLane) {
+  std::mt19937 gen(2020);
+  BatchInjectionScratch scratch;  // reused across netlists of every size
+  for (int trial = 0; trial < 6; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const BlockCircuit c(gen, 64, 6 + trial);
+    const double period = InjectionSimulator(c.nl).timing().clock_period();
+    std::vector<NodeId> all_gates;
+    std::vector<NodeId> all_dffs;
+    std::vector<NodeId> all_d_gates;
+    for (int b = 0; b < 64; ++b) {
+      all_gates.insert(all_gates.end(), c.gates[b].begin(), c.gates[b].end());
+      all_dffs.insert(all_dffs.end(), c.dffs[b].begin(), c.dffs[b].end());
+      all_d_gates.insert(all_d_gates.end(), c.d_gates[b].begin(),
+                         c.d_gates[b].end());
+    }
+    const auto pick = [&](const std::vector<NodeId>& from) {
+      return from[gen() % from.size()];
+    };
+    for (const int lanes : {1, 7, 64}) {
+      SCOPED_TRACE("lanes " + std::to_string(lanes));
+      std::vector<double> strike(lanes);
+      for (double& t : strike) {
+        t = static_cast<double>(gen() % 1000) / 1000.0 * period;
+      }
+      std::vector<std::vector<NodeId>> struck(lanes);
+      expect_batch_matches_reference(c.nl, struck, strike, gen, scratch,
+                                     "empty struck sets");
+      for (auto& s : struck) s = {pick(all_dffs), pick(all_dffs)};
+      expect_batch_matches_reference(c.nl, struck, strike, gen, scratch,
+                                     "DFF-only struck sets");
+      for (auto& s : struck) s = {pick(all_d_gates), pick(all_d_gates)};
+      expect_batch_matches_reference(c.nl, struck, strike, gen, scratch,
+                                     "gates whose only fanouts are DFFs");
+      // The last gate, struck itself and reached through its fanins.
+      const NodeId last = c.nl.topo_order().back();
+      for (auto& s : struck) {
+        s = {last, pick(all_gates)};
+        for (const NodeId f : c.nl.node(last).fanins) {
+          if (c.nl.is_comb_gate(f)) s.push_back(f);
+        }
+      }
+      expect_batch_matches_reference(c.nl, struck, strike, gen, scratch,
+                                     "last gate in topological order");
+      for (int l = 0; l < lanes; ++l) {
+        const auto& block = c.gates[l];
+        struck[l] = {block[gen() % block.size()], block[gen() % block.size()],
+                     c.dffs[l][gen() % c.dffs[l].size()]};
+      }
+      expect_batch_matches_reference(c.nl, struck, strike, gen, scratch,
+                                     "disjoint cones");
+      for (auto& s : struck) {
+        s.clear();
+        for (std::size_t k = gen() % 6; k > 0; --k) s.push_back(pick(all_gates));
+      }
+      expect_batch_matches_reference(c.nl, struck, strike, gen, scratch,
+                                     "overlapping cones");
+    }
+  }
+}
+
 TEST(InjectionSimulator, InjectBatchRejectsBadLaneCounts) {
   Chain c(3);
   InjectionSimulator inj(c.nl);

@@ -8,6 +8,7 @@
 
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -156,6 +157,42 @@ TEST(BatchEquivalence, LaneAndThreadCountsAreBitwiseIdentical) {
     EXPECT_EQ(sink.counter("eval.batch_restore_saved"),
               sink.counter("eval.batch_lanes") -
                   sink.counter("eval.batch_groups"));
+  }
+}
+
+TEST(BatchEquivalence, ConcurrentSettleTableFillsAreExactlyOnce) {
+  // Four workers fill the evaluator's golden settle table concurrently:
+  // first with injection cycles spread over the whole attack window, then
+  // with a few cycles each split over several full te-groups, whose workers
+  // race for the same entry. Every te is settled exactly once, and the
+  // records equal a single-threaded run that fills the table in order.
+  const int tt = static_cast<int>(ctx().make({}).target_cycle());
+  for (const int t_max : {tt, 3}) {
+    SCOPED_TRACE("t_max=" + std::to_string(t_max));
+    faultsim::AttackModel attack = test_attack();
+    attack.t_max = t_max;
+    constexpr std::size_t kN = 1200;
+    std::vector<SsfResult> results;
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      MetricsSink sink;
+      EvaluatorConfig cfg;
+      cfg.threads = threads;
+      cfg.metrics = &sink;
+      RandomSampler sampler(attack);
+      Rng rng(2020);
+      results.push_back(ctx().make(cfg).run(sampler, rng, kN));
+      std::set<std::uint64_t> tes;
+      for (const SampleRecord& rec : results.back().records) {
+        tes.insert(rec.te);
+      }
+      EXPECT_EQ(tes.size(), static_cast<std::size_t>(t_max) + 1);
+      EXPECT_EQ(sink.counter("gate.settle_passes"), tes.size());
+      if (t_max == 3) {
+        EXPECT_GE(sink.counter("eval.batch_groups"), 4 * tes.size());
+      }
+    }
+    expect_bitwise_equal(results[1], results[0]);
   }
 }
 

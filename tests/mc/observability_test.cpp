@@ -120,6 +120,50 @@ TEST(Observability, ThreadCountDoesNotChangeResultsOrCounters) {
   EXPECT_EQ(*m1.gauge("eval.ssf"), *m4.gauge("eval.ssf"));
 }
 
+TEST(Observability, SettlePassesCountDistinctInjectionCycles) {
+  // The golden settle table settles each injection cycle te once per
+  // evaluator, however many te-groups and threads share it. Multi-cycle
+  // impact strikes a corrupted state from its second cycle on, and each of
+  // those cycles is a real settle.
+  for (const int impact : {1, 3}) {
+    SCOPED_TRACE("impact_cycles=" + std::to_string(impact));
+    faultsim::AttackModel attack = ctx().attack();
+    attack.impact_cycles = impact;
+    std::uint64_t passes_t1 = 0;
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      MetricsSink metrics;
+      EvaluatorConfig cfg;
+      cfg.threads = threads;
+      cfg.metrics = &metrics;
+      RandomSampler sampler(attack);
+      Rng rng(77);
+      const SsfResult res =
+          ctx().make_evaluator(cfg).run(sampler, rng, kSamples);
+      ASSERT_EQ(res.records.size(), kSamples);
+      std::set<std::uint64_t> tes;
+      for (const SampleRecord& rec : res.records) tes.insert(rec.te);
+      ASSERT_GT(tes.size(), 1u);
+      // Every sample lands inside the program, so every group runs all of
+      // its injection cycles.
+      EXPECT_EQ(metrics.counter("gate.injection_cycles"),
+                metrics.counter("eval.batch_groups") +
+                    (impact - 1) * kSamples);
+      const std::uint64_t passes = metrics.counter("gate.settle_passes");
+      EXPECT_EQ(passes, tes.size() + (impact - 1) * kSamples);
+      ASSERT_NE(metrics.timer("eval.gate_settle_ns"), nullptr);
+      ASSERT_NE(metrics.timer("eval.gate_flip_set_ns"), nullptr);
+      EXPECT_EQ(metrics.timer("eval.gate_flip_set_ns")->count,
+                metrics.counter("gate.injection_cycles"));
+      if (threads == 1) {
+        passes_t1 = passes;
+      } else {
+        EXPECT_EQ(passes, passes_t1);
+      }
+    }
+  }
+}
+
 TEST(Observability, CountersAndGaugesMatchTheResult) {
   MetricsSink metrics;
   EvaluatorConfig cfg;
